@@ -43,22 +43,31 @@ use std::sync::{Arc, Mutex};
 /// the records produced.
 pub const SMT_RECORD_MARGIN: u64 = 4;
 
+/// Decoded memory traces the memo keeps: the most any one run holds alive
+/// at once ([`crate::prefetch_runs::run_four_core_homogeneous`] replays
+/// one file per core). A four-core run opens seeds `s..s+4` in turn, so
+/// with fewer slots every open would evict the entry the next run needs.
+const MEM_MEMO_SLOTS: usize = 4;
+
 /// Optional on-disk trace cache for experiment runs.
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
     dir: Option<PathBuf>,
-    /// Single-slot memo of the last memory trace decoded by this store:
-    /// sweeps replay the same `(app, seed)` file once per configuration, so
-    /// repeat runs iterate the already-decoded records from memory instead
-    /// of re-reading and re-decoding the file. Clones share the slot, and
-    /// it holds at most one decoded trace at a time, bounding memory to the
-    /// largest single run. A cached prefix longer than requested is safe
-    /// for the same reason a longer file is: every trace is a prefix of the
-    /// deterministic generator stream.
-    mem_memo: Arc<Mutex<Option<MemMemo>>>,
+    /// Memo of the last [`MEM_MEMO_SLOTS`] memory traces decoded by this
+    /// store, least recently used first: sweeps replay the same
+    /// `(app, seed)` files once per configuration, so repeat runs iterate
+    /// the already-decoded records from memory instead of re-reading and
+    /// re-decoding the files. Clones share the memo. A miss evicts before
+    /// it decodes, so the memo and the decode in flight together hold at
+    /// most [`MEM_MEMO_SLOTS`] traces, which one four-core run holds alive
+    /// anyway. A
+    /// cached prefix longer than requested is safe for the same reason a
+    /// longer file is: every trace is a prefix of the deterministic
+    /// generator stream.
+    mem_memo: Arc<Mutex<Vec<MemMemo>>>,
 }
 
-/// The memo slot: the file a decode came from, and its first `n` records.
+/// A memo entry: the file a decode came from, and its first `n` records.
 #[derive(Debug)]
 struct MemMemo {
     path: PathBuf,
@@ -144,7 +153,7 @@ impl TraceStore {
         });
     }
 
-    /// Record source for a single-core memory run: the recorded file when
+    /// Record source for one core of a memory run: the recorded file when
     /// the store is enabled, the generator otherwise. The file is recorded
     /// first if missing or shorter than `n`, decoded once, and memoized so
     /// the other arms of a sweep replay it from memory.
@@ -152,28 +161,52 @@ impl TraceStore {
         let Some(path) = self.mem_path(app, seed) else {
             return MemSource::Generated(app.trace(seed));
         };
-        self.ensure_mem(app, seed, n);
-        if let Some(records) = self.memoized_mem(&path, n) {
+        // A hit proves a file of at least `n` records existed, so only a
+        // miss needs to look at (or record) the file.
+        if let Some(records) = self.memo_lookup(&path, n) {
             return MemSource::Replay { records, cursor: 0 };
         }
+        self.ensure_mem(app, seed, n);
         // The bulk replay decode; per-block `trace_decode` spans from the
         // reader nest under it.
         mab_telemetry::span!(TraceReplay);
         let reader = TraceReader::open(&path)
             .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
-        let records = Arc::new(reader.records().take(n as usize).collect::<Vec<_>>());
-        *self.mem_memo.lock().expect("trace memo lock") = Some(MemMemo {
-            path,
-            records: Arc::clone(&records),
-        });
+        let mut records = Vec::with_capacity(n.min(reader.meta().record_count) as usize);
+        records.extend(reader.records().take(n as usize));
+        let records = Arc::new(records);
+        self.memoize(path, Arc::clone(&records));
         MemSource::Replay { records, cursor: 0 }
     }
 
-    /// The memoized decode of `path`, when it covers at least `n` records.
-    fn memoized_mem(&self, path: &Path, n: u64) -> Option<Arc<Vec<TraceRecord>>> {
-        let memo = self.mem_memo.lock().expect("trace memo lock");
-        let memo = memo.as_ref()?;
-        (memo.path == *path && memo.records.len() as u64 >= n).then(|| Arc::clone(&memo.records))
+    /// The memoized decode of `path`, when it covers at least `n` records;
+    /// a hit becomes the most recently used entry. A miss makes room for
+    /// the decode that follows: it drops a shorter entry for `path`, or
+    /// else the least recently used one when the memo is full.
+    fn memo_lookup(&self, path: &Path, n: u64) -> Option<Arc<Vec<TraceRecord>>> {
+        let mut memo = self.mem_memo.lock().expect("trace memo lock");
+        if let Some(i) = memo.iter().position(|m| m.path == *path) {
+            let entry = memo.remove(i);
+            if entry.records.len() as u64 >= n {
+                let records = Arc::clone(&entry.records);
+                memo.push(entry);
+                return Some(records);
+            }
+        } else if memo.len() >= MEM_MEMO_SLOTS {
+            memo.remove(0);
+        }
+        None
+    }
+
+    /// Adds a fresh decode of `path` as the most recently used entry,
+    /// replacing any entry for the same file a concurrent miss added.
+    fn memoize(&self, path: PathBuf, records: Arc<Vec<TraceRecord>>) {
+        let mut memo = self.mem_memo.lock().expect("trace memo lock");
+        memo.retain(|m| m.path != path);
+        if memo.len() >= MEM_MEMO_SLOTS {
+            memo.remove(0);
+        }
+        memo.push(MemMemo { path, records });
     }
 
     /// Instruction stream for one SMT hardware thread: the recorded file
@@ -227,7 +260,7 @@ pub enum MemSource {
     /// Recorded trace, decoded once and shared across the runs that replay
     /// it (see [`TraceStore::mem_source`]).
     Replay {
-        /// The decoded records, shared with the store's memo slot.
+        /// The decoded records, shared with the store's memo.
         records: Arc<Vec<TraceRecord>>,
         /// Next record to yield.
         cursor: usize,
@@ -334,6 +367,77 @@ mod tests {
         store.ensure_mem(&app, 2, 500);
         let replayed: Vec<_> = store.mem_source(&app, 2, 2000).take(2000).collect();
         assert_eq!(replayed, app.trace(2).take(2000).collect::<Vec<_>>());
+    }
+
+    fn replayed(source: MemSource) -> Arc<Vec<TraceRecord>> {
+        match source {
+            MemSource::Replay { records, .. } => records,
+            MemSource::Generated(_) => panic!("enabled store must replay"),
+        }
+    }
+
+    /// Asserts the memo holds exactly `seeds` of `app`, least recently
+    /// used first.
+    fn assert_memo_holds(store: &TraceStore, app: &AppSpec, seeds: &[u64]) {
+        let memo: Vec<_> = store
+            .mem_memo
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|m| m.path.clone())
+            .collect();
+        let expected: Vec<_> = seeds
+            .iter()
+            .map(|&s| store.mem_path(app, s).unwrap())
+            .collect();
+        assert_eq!(memo, expected);
+    }
+
+    #[test]
+    fn four_core_access_pattern_decodes_each_file_once() {
+        let store = store("mem-fourcore");
+        let app = suites::app_by_name("mcf").unwrap();
+        // Two four-core runs back to back, each opening seeds 10..14 in turn.
+        let first: Vec<_> = (10..14)
+            .map(|s| replayed(store.mem_source(&app, s, 1000)))
+            .collect();
+        for (s, records) in (10..14).zip(&first) {
+            let again = replayed(store.mem_source(&app, s, 1000));
+            assert!(Arc::ptr_eq(records, &again), "seed {s} was decoded twice");
+        }
+    }
+
+    #[test]
+    fn fifth_file_evicts_the_least_recently_used_entry() {
+        let store = store("mem-evict");
+        let app = suites::app_by_name("mcf").unwrap();
+        for s in 20..24 {
+            store.mem_source(&app, s, 1000);
+        }
+        // A hit refreshes seed 20, leaving 21 the least recently used.
+        store.mem_source(&app, 20, 1000);
+        assert_memo_holds(&store, &app, &[21, 22, 23, 20]);
+        store.mem_source(&app, 24, 1000);
+        assert_memo_holds(&store, &app, &[22, 23, 20, 24]);
+    }
+
+    #[test]
+    fn longer_request_replaces_the_shorter_entry() {
+        let store = store("mem-longer");
+        let app = suites::app_by_name("lbm").unwrap();
+        let short = replayed(store.mem_source(&app, 3, 500));
+        let long = replayed(store.mem_source(&app, 3, 2000));
+        assert!(
+            !Arc::ptr_eq(&short, &long),
+            "short entry served a longer run"
+        );
+        assert_eq!(long.len(), 2000);
+        assert_memo_holds(&store, &app, &[3]);
+        // The longer decode now serves shorter requests too.
+        assert!(Arc::ptr_eq(
+            &long,
+            &replayed(store.mem_source(&app, 3, 500))
+        ));
     }
 
     #[test]

@@ -20,12 +20,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions() {
-    let crash_dir = temp_dir("inject");
+/// Injects a panic into the bandit arm of a `--jobs N` sweep and checks
+/// the report: on a multi-worker run the panic lands on an unnamed worker
+/// thread, whose ring must still be the one marked as crashing.
+fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions(jobs: &str) {
+    let crash_dir = temp_dir(&format!("inject-j{jobs}"));
     let exe = env!("CARGO_BIN_EXE_fig08_singlecore");
     let output = Command::new(exe)
-        .args(["--quick", "--quiet"])
+        .args(["--quick", "--quiet", "--jobs", jobs])
         .env("MAB_TEST_PANIC_ARM", BANDIT_ARM)
         .env("MAB_CRASH_DIR", &crash_dir)
         .env_remove("MAB_BLACKBOX")
@@ -97,6 +99,16 @@ fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions() {
         assert!(blackbox::json_u64(&d.line, "arm").is_some());
     }
     std::fs::remove_dir_all(&crash_dir).ok();
+}
+
+#[test]
+fn injected_panic_report_at_jobs_1() {
+    injected_panic_dumps_a_report_naming_the_arm_and_its_decisions("1");
+}
+
+#[test]
+fn injected_panic_report_at_jobs_2() {
+    injected_panic_dumps_a_report_naming_the_arm_and_its_decisions("2");
 }
 
 /// The recorder is on by default in every experiment run, so it must be

@@ -1,7 +1,8 @@
 //! Record/replay acceptance: running an experiment with `--trace-dir` must
 //! produce a report byte-identical to generator mode — first while
-//! recording (cold cache) and again while replaying (warm cache) — for both
-//! the memory-hierarchy path (fig09) and the SMT path (fig13).
+//! recording (cold cache) and again while replaying (warm cache) — for the
+//! single-core memory-hierarchy path (fig09), the four-core path (fig14)
+//! and the SMT path (fig13).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -27,17 +28,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn fig09_replay_report_is_byte_identical_to_generator_mode() {
-    let exe = env!("CARGO_BIN_EXE_fig09_accuracy");
-    let dir = fresh_dir("fig09");
-    let args = ["--instructions", "4000"];
-    let generated = stdout_of(exe, &args);
-    let trace_args = [&args[..], &["--trace-dir", dir.to_str().unwrap()]].concat();
+/// Runs `exe` with `args` in generator mode, then twice with a fresh
+/// `--trace-dir` (recording, then replaying), and asserts all three
+/// reports are byte-identical.
+fn assert_replay_matches_generator_mode(tag: &str, exe: &str, args: &[&str]) {
+    let dir = fresh_dir(tag);
+    let generated = stdout_of(exe, args);
+    let trace_args = [args, &["--trace-dir", dir.to_str().unwrap()]].concat();
     let recording = stdout_of(exe, &trace_args);
     assert_eq!(
         generated, recording,
-        "fig09 report changed while recording traces"
+        "{tag} report changed while recording traces"
     );
     let mabt_files = std::fs::read_dir(&dir)
         .expect("trace dir exists")
@@ -47,29 +48,39 @@ fn fig09_replay_report_is_byte_identical_to_generator_mode() {
     let replaying = stdout_of(exe, &trace_args);
     assert_eq!(
         generated, replaying,
-        "fig09 report changed when replaying recorded traces"
+        "{tag} report changed when replaying recorded traces"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
+fn fig09_replay_report_is_byte_identical_to_generator_mode() {
+    assert_replay_matches_generator_mode(
+        "fig09",
+        env!("CARGO_BIN_EXE_fig09_accuracy"),
+        &["--instructions", "4000"],
+    );
+}
+
+#[test]
+fn fig14_fourcore_replay_report_is_byte_identical_to_generator_mode() {
+    // Every four-core run replays seeds `s..s+4` of one app under six
+    // prefetchers, so this exercises the decoded-trace memo's reuse and
+    // eviction across runs.
+    assert_replay_matches_generator_mode(
+        "fig14",
+        env!("CARGO_BIN_EXE_fig14_fourcore"),
+        &["--instructions", "2000"],
+    );
+}
+
+#[test]
 fn fig13_replay_report_is_byte_identical_to_generator_mode() {
-    let exe = env!("CARGO_BIN_EXE_fig13_smt_scurve");
-    let dir = fresh_dir("fig13");
-    let args = ["--instructions", "3000", "--mixes", "3", "--jobs", "4"];
-    let generated = stdout_of(exe, &args);
-    let trace_args = [&args[..], &["--trace-dir", dir.to_str().unwrap()]].concat();
-    let recording = stdout_of(exe, &trace_args);
-    assert_eq!(
-        generated, recording,
-        "fig13 report changed while recording traces"
+    assert_replay_matches_generator_mode(
+        "fig13",
+        env!("CARGO_BIN_EXE_fig13_smt_scurve"),
+        &["--instructions", "3000", "--mixes", "3", "--jobs", "4"],
     );
-    let replaying = stdout_of(exe, &trace_args);
-    assert_eq!(
-        generated, replaying,
-        "fig13 report changed when replaying recorded traces"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -530,10 +530,17 @@ fn render_body(
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let thread = std::thread::current()
-        .name()
-        .unwrap_or("unnamed")
-        .to_string();
+    // The crashing thread's own ring, matched by identity below: names
+    // cannot tell unnamed worker threads apart. Its name (`thread-N` for
+    // an unnamed thread) also labels the crash.
+    let own_ring = RING.try_with(|cell| cell.get().cloned()).ok().flatten();
+    let thread = match &own_ring {
+        Some(ring) => ring.name.clone(),
+        None => std::thread::current()
+            .name()
+            .unwrap_or("unnamed")
+            .to_string(),
+    };
     let mut body = String::with_capacity(16 * 1024);
     let sig = match signal {
         Some(s) => format!(",\"signal\":{s},\"signal_name\":\"{}\"", fatal::name(s)),
@@ -567,26 +574,23 @@ fn render_body(
         ));
     }
     // The crashing thread's current sweep arm, if it was running one.
-    let _ = RING.try_with(|cell| {
-        if let Some(ring) = cell.get() {
-            let arm = match ring.inner.try_lock() {
-                Ok(inner) => inner.arm,
-                Err(_) => None,
-            };
-            if let Some((index, seed)) = arm {
-                body.push_str(&format!(
-                    "{{\"kind\":\"arm\",\"index\":{index},\"seed\":{seed}}}\n"
-                ));
-            }
+    if let Some(ring) = &own_ring {
+        let arm = match ring.inner.try_lock() {
+            Ok(inner) => inner.arm,
+            Err(_) => None,
+        };
+        if let Some((index, seed)) = arm {
+            body.push_str(&format!(
+                "{{\"kind\":\"arm\",\"index\":{index},\"seed\":{seed}}}\n"
+            ));
         }
-    });
+    }
     for (depth, frame) in crate::span::current_stack().iter().enumerate() {
         body.push_str(&format!(
             "{{\"kind\":\"span\",\"depth\":{depth},\"frame\":\"{}\"}}\n",
             escape(frame)
         ));
     }
-    let current_name = thread;
     let rings: Vec<Arc<ThreadRing>> = if best_effort {
         match REGISTRY.try_lock() {
             Ok(reg) => reg.clone(),
@@ -614,7 +618,7 @@ fn render_body(
         body.push_str(&format!(
             "{{\"kind\":\"thread\",\"id\":{idx},\"name\":\"{}\",\"current\":{},\"dropped\":{},\"events\":{}}}\n",
             escape(&ring.name),
-            ring.name == current_name,
+            own_ring.as_ref().is_some_and(|own| Arc::ptr_eq(own, ring)),
             inner.dropped,
             inner.events.len()
         ));
@@ -1057,6 +1061,37 @@ mod tests {
         let text = json_str(&first_note.line, "text").unwrap();
         let idx: usize = text[1..].parse().unwrap();
         assert!(idx >= extra, "oldest retained = {text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crash_on_an_unnamed_thread_marks_its_own_ring() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let dir = temp_dir("unnamed");
+        assert!(install("unnamed_test", "d", &[], &dir));
+        // Two unnamed workers, as a sweep runner spawns them: one records
+        // decisions, the other crashes.
+        std::thread::spawn(|| decision(1, 0, 2, 0.5, 0.6, false))
+            .join()
+            .unwrap();
+        let path = std::thread::spawn(|| {
+            note("about to crash");
+            dump("panic", "worker panic", None, false).expect("dump")
+        })
+        .join()
+        .unwrap();
+        set_enabled(false);
+
+        let report = read_report(&path).expect("parse");
+        let current: Vec<_> = report.threads.iter().filter(|t| t.current).collect();
+        assert_eq!(
+            current.len(),
+            1,
+            "exactly one ring is the crashing thread's"
+        );
+        assert_eq!(report.thread, current[0].name);
+        assert!(current[0].events.iter().any(|e| e.etype == "note"));
+        assert!(report.last_decisions().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
