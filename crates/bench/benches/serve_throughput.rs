@@ -103,14 +103,14 @@ fn run_client(url: &str, client_id: usize, pass: &str) -> f64 {
     let start = Instant::now();
     let resp = client::post(&format!("{url}/jobs"), &body, timeout).expect("POST /jobs");
     assert_eq!(resp.status, 200, "{pass} submit failed: {}", resp.body);
-    let id = mab_ledger::json::parse(resp.body.trim())
+    let id = mab_telemetry::json::parse(resp.body.trim())
         .expect("job json")
         .get("id")
         .and_then(|v| v.as_u64())
         .expect("job id");
     loop {
         let resp = client::get(&format!("{url}/jobs/{id}"), timeout).expect("GET /jobs/:id");
-        let doc = mab_ledger::json::parse(resp.body.trim()).expect("status json");
+        let doc = mab_telemetry::json::parse(resp.body.trim()).expect("status json");
         match doc.get("status").and_then(|v| v.as_str()) {
             Some("done") => break,
             Some("failed") => panic!("{pass} job {id} failed: {}", resp.body),

@@ -5,6 +5,7 @@
 //! experiment's stdout byte-for-byte untouched.
 
 use mab_telemetry::blackbox;
+use mab_telemetry::json::JsonValue;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -59,12 +60,19 @@ fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions(jobs: &str) {
         .iter()
         .filter(|r| r.message.starts_with("injected test panic"))
         .collect();
-    assert_eq!(injected.len(), 1, "expected exactly one injected-panic report");
+    assert_eq!(
+        injected.len(),
+        1,
+        "expected exactly one injected-panic report"
+    );
     let report = injected[0];
 
     assert_eq!(report.cause, "panic");
     assert_eq!(report.experiment, "fig08_singlecore");
-    assert!(!report.digest.is_empty(), "report missing the config digest");
+    assert!(
+        !report.digest.is_empty(),
+        "report missing the config digest"
+    );
     assert!(
         report
             .config
@@ -94,9 +102,9 @@ fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions(jobs: &str) {
         decisions.len()
     );
     for d in &decisions {
-        assert!(blackbox::json_f64(&d.line, "q").is_some());
-        assert!(blackbox::json_f64(&d.line, "bound").is_some());
-        assert!(blackbox::json_u64(&d.line, "arm").is_some());
+        assert!(d.fields.get("q").and_then(JsonValue::as_f64).is_some());
+        assert!(d.fields.get("bound").and_then(JsonValue::as_f64).is_some());
+        assert!(d.fields.get("arm").and_then(JsonValue::as_u64).is_some());
     }
     std::fs::remove_dir_all(&crash_dir).ok();
 }

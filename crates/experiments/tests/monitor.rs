@@ -106,7 +106,7 @@ fn live_endpoints_serve_mid_run_and_land_in_the_ledger() {
     let status =
         mab_monitor::client::get(&format!("{url}/status"), timeout).expect("mid-run /status poll");
     assert_eq!(status.status, 200);
-    let doc = mab_ledger::json::parse(status.body.trim()).expect("status parses");
+    let doc = mab_telemetry::json::parse(status.body.trim()).expect("status parses");
     assert_eq!(
         doc.get("experiment").unwrap().as_str(),
         Some("fig13_smt_scurve")

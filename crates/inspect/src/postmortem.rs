@@ -10,38 +10,32 @@
 //! the last bandit decisions broken out as a table, and per-thread drop
 //! accounting.
 
-use mab_telemetry::blackbox::{json_bool, json_f64, json_str, json_u64, CrashEvent, CrashReport};
+use mab_telemetry::blackbox::{CrashEvent, CrashReport};
+use mab_telemetry::json::escape;
+use mab_telemetry::signal;
 
 /// How many trailing events of the crashing thread the timeline shows.
 /// Decisions get their own full table, so the raw tail stays short.
 const TIMELINE_TAIL: usize = 16;
 
-/// Best-effort name for the fatal signals the blackbox handler catches.
-/// The report body carries the authoritative `signal_name`, but the parsed
-/// [`CrashReport`] keeps only the number — this covers the gap for display.
+/// Display name for a report's signal number. The report body carries the
+/// authoritative `signal_name`, but the parsed [`CrashReport`] keeps only
+/// the number.
 fn signal_name(sig: i64) -> &'static str {
-    match sig {
-        4 => "SIGILL",
-        6 => "SIGABRT",
-        7 => "SIGBUS",
-        8 => "SIGFPE",
-        11 => "SIGSEGV",
-        _ => "signal",
-    }
+    i32::try_from(sig).map_or("signal", signal::name)
 }
 
 /// One-line summary of an event for the timeline tail.
 fn describe(event: &CrashEvent) -> String {
-    let l = &event.line;
     match event.etype.as_str() {
         "decision" => format!(
             "decision  agent={} step={} arm={} q={:.4} bound={:.4}{}",
-            json_u64(l, "agent").unwrap_or(0),
-            json_u64(l, "step").unwrap_or(0),
-            json_u64(l, "arm").unwrap_or(0),
-            json_f64(l, "q").unwrap_or(0.0),
-            json_f64(l, "bound").unwrap_or(0.0),
-            if json_bool(l, "explore").unwrap_or(false) {
+            event.int("agent"),
+            event.int("step"),
+            event.int("arm"),
+            event.num("q"),
+            event.num("bound"),
+            if event.flag("explore") {
                 " explore"
             } else {
                 ""
@@ -49,26 +43,26 @@ fn describe(event: &CrashEvent) -> String {
         ),
         "epoch" => format!(
             "epoch     sim={} id={} cycle={} value={:.4}",
-            json_str(l, "sim").unwrap_or_default(),
-            json_u64(l, "id").unwrap_or(0),
-            json_u64(l, "cycle").unwrap_or(0),
-            json_f64(l, "value").unwrap_or(0.0),
+            event.text("sim"),
+            event.int("id"),
+            event.int("cycle"),
+            event.num("value"),
         ),
         "arm_start" => format!(
             "arm_start index={} seed={}",
-            json_u64(l, "index").unwrap_or(0),
-            json_u64(l, "seed").unwrap_or(0),
+            event.int("index"),
+            event.int("seed"),
         ),
-        "arm_finish" => format!("arm_finish index={}", json_u64(l, "index").unwrap_or(0)),
-        "sweep_begin" => format!("sweep_begin total={}", json_u64(l, "total").unwrap_or(0)),
-        "sweep_end" => format!("sweep_end done={}", json_u64(l, "done").unwrap_or(0)),
+        "arm_finish" => format!("arm_finish index={}", event.int("index")),
+        "sweep_begin" => format!("sweep_begin total={}", event.int("total")),
+        "sweep_end" => format!("sweep_end done={}", event.int("done")),
         "job" => format!(
             "job       id={} {} {}",
-            json_u64(l, "job").unwrap_or(0),
-            json_str(l, "what").unwrap_or_default(),
-            json_str(l, "detail").unwrap_or_default(),
+            event.int("job"),
+            event.text("what"),
+            event.text("detail"),
         ),
-        "note" => format!("note      {}", json_str(l, "text").unwrap_or_default()),
+        "note" => format!("note      {}", event.text("text")),
         other => other.to_string(),
     }
 }
@@ -145,20 +139,15 @@ pub fn render_postmortem(report: &CrashReport) -> String {
         ));
         out.push_str("  seq        agent  step     arm  q          bound      explore\n");
         for d in &decisions {
-            let l = &d.line;
             out.push_str(&format!(
                 "  {:<9}  {:<5}  {:<7}  {:<3}  {:<9.4}  {:<9.4}  {}\n",
                 d.seq,
-                json_u64(l, "agent").unwrap_or(0),
-                json_u64(l, "step").unwrap_or(0),
-                json_u64(l, "arm").unwrap_or(0),
-                json_f64(l, "q").unwrap_or(0.0),
-                json_f64(l, "bound").unwrap_or(0.0),
-                if json_bool(l, "explore").unwrap_or(false) {
-                    "yes"
-                } else {
-                    "no"
-                },
+                d.int("agent"),
+                d.int("step"),
+                d.int("arm"),
+                d.num("q"),
+                d.num("bound"),
+                if d.flag("explore") { "yes" } else { "no" },
             ));
         }
     }
@@ -195,22 +184,6 @@ pub fn render_postmortem(report: &CrashReport) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the `--json` document: the whole report as one JSON object,
 /// with the last bandit decisions pre-extracted for scripting.
 #[must_use]
@@ -218,8 +191,8 @@ pub fn postmortem_json(report: &CrashReport) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
         "\"cause\":\"{}\",\"message\":\"{}\",",
-        json_escape(&report.cause),
-        json_escape(&report.message)
+        escape(&report.cause),
+        escape(&report.message)
     ));
     match report.signal {
         Some(sig) => out.push_str(&format!(
@@ -230,28 +203,24 @@ pub fn postmortem_json(report: &CrashReport) -> String {
     }
     out.push_str(&format!(
         "\"thread\":\"{}\",\"time_unix\":{},\"experiment\":\"{}\",\"digest\":\"{}\",",
-        json_escape(&report.thread),
+        escape(&report.thread),
         report.time_unix,
-        json_escape(&report.experiment),
-        json_escape(&report.digest)
+        escape(&report.experiment),
+        escape(&report.digest)
     ));
     out.push_str("\"config\":{");
     for (i, (key, value)) in report.config.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "\"{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
-        ));
+        out.push_str(&format!("\"{}\":\"{}\"", escape(key), escape(value)));
     }
     out.push_str("},");
     out.push_str(&format!(
         "\"host\":{{\"cpus\":{},\"kernel_mode\":\"{}\",\"hostname\":\"{}\"}},",
         report.cpus,
-        json_escape(&report.kernel_mode),
-        json_escape(&report.hostname)
+        escape(&report.kernel_mode),
+        escape(&report.hostname)
     ));
     match report.sweep {
         Some((done, total, active)) => out.push_str(&format!(
@@ -270,7 +239,7 @@ pub fn postmortem_json(report: &CrashReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\"", json_escape(frame)));
+        out.push_str(&format!("\"{}\"", escape(frame)));
     }
     out.push_str("],");
     out.push_str("\"last_decisions\":[");
@@ -278,16 +247,15 @@ pub fn postmortem_json(report: &CrashReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        let l = &d.line;
         out.push_str(&format!(
             "{{\"seq\":{},\"agent\":{},\"step\":{},\"arm\":{},\"q\":{},\"bound\":{},\"explore\":{}}}",
             d.seq,
-            json_u64(l, "agent").unwrap_or(0),
-            json_u64(l, "step").unwrap_or(0),
-            json_u64(l, "arm").unwrap_or(0),
-            json_f64(l, "q").unwrap_or(0.0),
-            json_f64(l, "bound").unwrap_or(0.0),
-            json_bool(l, "explore").unwrap_or(false),
+            d.int("agent"),
+            d.int("step"),
+            d.int("arm"),
+            d.num("q"),
+            d.num("bound"),
+            d.flag("explore"),
         ));
     }
     out.push_str("],");
@@ -298,7 +266,7 @@ pub fn postmortem_json(report: &CrashReport) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"current\":{},\"dropped\":{},\"events\":{}}}",
-            json_escape(&thread.name),
+            escape(&thread.name),
             thread.current,
             thread.dropped,
             thread.events.len()
@@ -311,19 +279,20 @@ pub fn postmortem_json(report: &CrashReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mab_ledger::json::JsonValue;
     use mab_telemetry::blackbox::{CrashEvent, CrashThread};
+    use mab_telemetry::json::{self, JsonValue};
 
     fn decision_event(thread: usize, seq: u64, arm: u64, q: f64) -> CrashEvent {
         CrashEvent {
             thread,
             seq,
             etype: "decision".to_string(),
-            line: format!(
+            fields: json::parse(&format!(
                 "{{\"kind\":\"event\",\"thread\":{thread},\"seq\":{seq},\"type\":\"decision\",\
                  \"agent\":0,\"step\":{seq},\"arm\":{arm},\"q\":{q:.6},\"bound\":{:.6},\"explore\":false}}",
                 q + 0.5
-            ),
+            ))
+            .unwrap(),
         }
     }
 
@@ -352,9 +321,11 @@ mod tests {
                         thread: 0,
                         seq: 1,
                         etype: "sweep_begin".to_string(),
-                        line: "{\"kind\":\"event\",\"thread\":0,\"seq\":1,\
-                               \"type\":\"sweep_begin\",\"total\":12}"
-                            .to_string(),
+                        fields: json::parse(
+                            "{\"kind\":\"event\",\"thread\":0,\"seq\":1,\
+                             \"type\":\"sweep_begin\",\"total\":12}",
+                        )
+                        .unwrap(),
                     }],
                 },
                 CrashThread {
@@ -398,8 +369,11 @@ mod tests {
     #[test]
     fn json_output_parses_and_round_trips_key_fields() {
         let doc = postmortem_json(&sample_report());
-        let value = mab_ledger::json::parse(&doc).expect("postmortem --json must be valid JSON");
-        assert_eq!(value.get("cause").and_then(JsonValue::as_str), Some("panic"));
+        let value = json::parse(&doc).expect("postmortem --json must be valid JSON");
+        assert_eq!(
+            value.get("cause").and_then(JsonValue::as_str),
+            Some("panic")
+        );
         assert_eq!(
             value
                 .get("arm")
@@ -407,10 +381,16 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(3)
         );
-        let decisions = value.get("last_decisions").and_then(JsonValue::as_arr).unwrap();
+        let decisions = value
+            .get("last_decisions")
+            .and_then(JsonValue::as_arr)
+            .unwrap();
         assert_eq!(decisions.len(), 8);
         let threads = value.get("threads").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(threads.len(), 2);
-        assert_eq!(threads[1].get("dropped").and_then(JsonValue::as_u64), Some(5));
+        assert_eq!(
+            threads[1].get("dropped").and_then(JsonValue::as_u64),
+            Some(5)
+        );
     }
 }

@@ -9,8 +9,8 @@
 //! over the parsed documents so tests can exercise it without a server;
 //! the `mab-inspect` binary owns the socket loop.
 
-use mab_ledger::json::JsonValue;
 use mab_monitor::client::{self, SseClient};
+use mab_telemetry::json::JsonValue;
 use mab_telemetry::live;
 use std::fmt::Write as _;
 use std::io::ErrorKind;
@@ -190,7 +190,7 @@ fn fetch_and_render(base: &str, timeout: Duration) -> Result<String, String> {
     let status_url = format!("{base}/status");
     let status_problem = match client::get(&status_url, timeout) {
         Ok(resp) if resp.status == 200 => {
-            let doc = mab_ledger::json::parse(resp.body.trim())
+            let doc = mab_telemetry::json::parse(resp.body.trim())
                 .map_err(|e| format!("{status_url} returned unparsable JSON: {e}"))?;
             return Ok(render_status(&doc));
         }
@@ -206,7 +206,7 @@ fn fetch_and_render(base: &str, timeout: Duration) -> Result<String, String> {
             resp.status
         ));
     }
-    let doc = mab_ledger::json::parse(resp.body.trim())
+    let doc = mab_telemetry::json::parse(resp.body.trim())
         .map_err(|e| format!("{queue_url} returned unparsable JSON: {e}"))?;
     Ok(render_queue(&doc))
 }
@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     fn render_status_shows_progress_workers_and_arms() {
-        let doc = mab_ledger::json::parse(STATUS).unwrap();
+        let doc = mab_telemetry::json::parse(STATUS).unwrap();
         let text = render_status(&doc);
         assert!(
             text.contains("fig10 (digest feedface, code 0.1.0+abc) --jobs 2"),
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn render_status_handles_idle_and_empty_documents() {
-        let doc = mab_ledger::json::parse(r#"{"experiment":"x","sweep":null}"#).unwrap();
+        let doc = mab_telemetry::json::parse(r#"{"experiment":"x","sweep":null}"#).unwrap();
         let text = render_status(&doc);
         assert!(text.contains("sweep: idle"), "{text}");
         assert!(!text.contains("workers:"), "{text}");
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn render_queue_shows_daemon_totals_and_jobs() {
-        let doc = mab_ledger::json::parse(
+        let doc = mab_telemetry::json::parse(
             r#"{"code":"0.1.0+abc","workers":4,"queue_cap":256,"draining":false,
                 "open_arms":3,"inflight":1,"arms_executed":10,"arms_cached":7,
                 "cache_entries":9,"queued":{"alice":2,"bob":1},

@@ -8,8 +8,8 @@
 //! same store as experiment runs. Re-ingesting an unchanged file under the
 //! same code version deduplicates to a no-op append.
 
-use crate::json::{self, JsonValue};
 use crate::record::RunRecord;
+use mab_telemetry::json::{self, JsonValue};
 use std::path::Path;
 
 /// Builds a [`RunRecord`] from a flat benchmark JSON file.

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod json;
 pub mod record;
 pub mod store;
 

@@ -17,7 +17,7 @@
 //!   artifact paths. Never compared, never digested: reruns differ here by
 //!   nature.
 
-use crate::json::{self, JsonValue};
+use mab_telemetry::json::{self, JsonValue};
 
 /// One sweep-arm execution inside a run, as observed by `mab-runner`.
 ///
@@ -502,7 +502,11 @@ mod tests {
         assert!(r.same_outcome(&parsed));
         // Absent when unrecorded (and in the JSON).
         let plain = sample();
-        assert!(!plain.to_json().contains("kernel_mode"), "{}", plain.to_json());
+        assert!(
+            !plain.to_json().contains("kernel_mode"),
+            "{}",
+            plain.to_json()
+        );
         assert!(!plain.to_json().contains("\"host\""));
         assert!(!plain.to_json().contains("\"cpus\""));
         let reparsed = RunRecord::from_json(&plain.to_json()).unwrap();

@@ -216,7 +216,7 @@ mod tests {
 
         let status = client::get(&format!("{url}/status"), timeout).unwrap();
         assert_eq!(status.status, 200);
-        let doc = mab_ledger::json::parse(status.body.trim()).unwrap();
+        let doc = mab_telemetry::json::parse(status.body.trim()).unwrap();
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("unit"));
 
         let missing = client::get(&format!("{url}/nope"), timeout).unwrap();

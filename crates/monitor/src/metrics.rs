@@ -105,7 +105,7 @@ pub fn render_parts(
             &mut out,
             "mab_monitor_arm_rows_evicted_total",
             "Arm-table rows evicted to stay under the cap.",
-            table.evicted as f64,
+            table.arms.dropped() as f64,
         );
     }
     counter(

@@ -5,12 +5,12 @@
 //! [`mab_telemetry::live`] helpers as `/metrics` and the progress line),
 //! per-worker accounting, scrape counters, and the per-arm state table
 //! (most recent [`crate::state::ARM_TABLE_CAP`] arms). Strings are escaped
-//! with `mab_ledger::json::escape`, so the output parses with the
+//! with `mab_telemetry::json::escape`, so the output parses with the
 //! workspace's own JSON parser — which is exactly what `mab-inspect watch`
 //! and the smoke tests do.
 
 use crate::state::{ArmPhase, MonitorState};
-use mab_ledger::json;
+use mab_telemetry::json;
 use mab_telemetry::live;
 use std::sync::atomic::Ordering;
 
@@ -59,7 +59,9 @@ pub fn render(state: &MonitorState) -> String {
     let table = state.table.lock().unwrap();
     out.push_str(&format!(
         ",\"arms_started\":{},\"arms_finished\":{},\"arm_rows_evicted\":{}",
-        table.started, table.finished, table.evicted
+        table.started,
+        table.finished,
+        table.arms.dropped()
     ));
     out.push_str(",\"workers\":[");
     for (worker, w) in table.workers.iter().enumerate() {

@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn experiments_json_lists_the_registry() {
-        let doc = mab_ledger::json::parse(experiments_json().trim()).unwrap();
+        let doc = mab_telemetry::json::parse(experiments_json().trim()).unwrap();
         let list = doc.get("experiments").unwrap().as_arr().unwrap();
         assert_eq!(list.len(), mab_experiments::spec::EXPERIMENTS.len());
         assert!(list

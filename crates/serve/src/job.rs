@@ -7,7 +7,7 @@
 //! scheduler queues, the cache stores, and the ledger records.
 
 use mab_experiments::spec::{self, RunSpec};
-use mab_ledger::json::{self, JsonValue};
+use mab_telemetry::json::{self, JsonValue};
 
 /// Scheduling state of one arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -349,7 +349,7 @@ mod tests {
         assert_eq!(job.cache_hits(), 1);
         job.arms[1].status = ArmStatus::Done;
         assert_eq!(job.status(), "done");
-        let doc = mab_ledger::json::parse(&job.to_json()).unwrap();
+        let doc = mab_telemetry::json::parse(&job.to_json()).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("done"));
         assert_eq!(doc.get("cache_hits").unwrap().as_u64(), Some(1));
         job.arms[0].status = ArmStatus::Failed;

@@ -112,11 +112,11 @@ impl TestServer {
     }
 
     /// Polls `GET /jobs/:id` until the job reaches a terminal status.
-    fn wait_done(&self, id: u64) -> mab_ledger::json::JsonValue {
+    fn wait_done(&self, id: u64) -> mab_telemetry::json::JsonValue {
         for _ in 0..400 {
             let resp = self.get(&format!("/jobs/{id}"));
             assert_eq!(resp.status, 200, "{}", resp.body);
-            let doc = mab_ledger::json::parse(resp.body.trim()).unwrap();
+            let doc = mab_telemetry::json::parse(resp.body.trim()).unwrap();
             let status = doc
                 .get("status")
                 .and_then(|v| v.as_str())
@@ -145,7 +145,7 @@ impl TestServer {
 
 fn job_id(resp: &client::HttpResponse) -> u64 {
     assert_eq!(resp.status, 200, "{}", resp.body);
-    mab_ledger::json::parse(resp.body.trim())
+    mab_telemetry::json::parse(resp.body.trim())
         .unwrap()
         .get("id")
         .and_then(|v| v.as_u64())
@@ -200,7 +200,7 @@ fn submit_fetch_and_resubmit_hits_cache() {
     assert_eq!(ledger.read_all().unwrap().records.len(), 2);
 
     let queue = srv.get("/queue");
-    let qdoc = mab_ledger::json::parse(queue.body.trim()).unwrap();
+    let qdoc = mab_telemetry::json::parse(queue.body.trim()).unwrap();
     assert_eq!(qdoc.get("arms_executed").and_then(|v| v.as_u64()), Some(2));
     assert_eq!(qdoc.get("arms_cached").and_then(|v| v.as_u64()), Some(2));
     assert_eq!(qdoc.get("cache_entries").and_then(|v| v.as_u64()), Some(2));
@@ -250,7 +250,7 @@ fn corrupt_cache_entries_are_recomputed_not_served() {
 
     // Flip bytes in the stored report without touching its length.
     let digest = {
-        let doc = mab_ledger::json::parse(srv.get(&format!("/jobs/{id}")).body.trim()).unwrap();
+        let doc = mab_telemetry::json::parse(srv.get(&format!("/jobs/{id}")).body.trim()).unwrap();
         let arms = doc
             .get("arms")
             .and_then(|v| v.as_arr().map(<[_]>::to_vec))
@@ -368,7 +368,7 @@ impl Executor for CrashingExecutor {
         let header = format!(
             "{} {:08x} {}\n",
             mab_telemetry::blackbox::MAGIC,
-            mab_telemetry::blackbox::crc32(body.as_bytes()),
+            mab_telemetry::crc32::crc32(body.as_bytes()),
             body.lines().count()
         );
         std::fs::write(
@@ -407,7 +407,7 @@ fn crashed_arms_are_attributed_and_exposed() {
     // `GET /crashes` lists the report under the owning job.
     let crashes = srv.get("/crashes");
     assert_eq!(crashes.status, 200, "{}", crashes.body);
-    let cdoc = mab_ledger::json::parse(crashes.body.trim()).unwrap();
+    let cdoc = mab_telemetry::json::parse(crashes.body.trim()).unwrap();
     assert_eq!(cdoc.get("count").and_then(|v| v.as_u64()), Some(1));
     let rows = cdoc
         .get("crashes")
@@ -421,7 +421,7 @@ fn crashed_arms_are_attributed_and_exposed() {
 
     // The crash count shows up on /queue and /metrics; the exposition page
     // stays well-formed (every sample line is `name[{labels}] value`).
-    let qdoc = mab_ledger::json::parse(srv.get("/queue").body.trim()).unwrap();
+    let qdoc = mab_telemetry::json::parse(srv.get("/queue").body.trim()).unwrap();
     assert_eq!(qdoc.get("crashes").and_then(|v| v.as_u64()), Some(1));
     let metrics = srv.get("/metrics").body;
     assert!(metrics.contains("mab_serve_crashes_total 1"), "{metrics}");
@@ -462,7 +462,7 @@ fn queue_cap_rejections_are_counted() {
         metrics.contains("mab_serve_rejected_submissions_total 1"),
         "{metrics}"
     );
-    let qdoc = mab_ledger::json::parse(srv.get("/queue").body.trim()).unwrap();
+    let qdoc = mab_telemetry::json::parse(srv.get("/queue").body.trim()).unwrap();
     assert_eq!(
         qdoc.get("rejected_submissions").and_then(|v| v.as_u64()),
         Some(1)
@@ -503,7 +503,7 @@ fn shutdown_persists_unfinished_jobs_and_resume_completes_them() {
     let state = ServeState::start(config, executor.clone() as Arc<dyn Executor>).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let done = mab_ledger::json::parse(state.job_json(id).expect("job resumed").trim())
+        let done = mab_telemetry::json::parse(state.job_json(id).expect("job resumed").trim())
             .unwrap()
             .get("status")
             .and_then(|v| v.as_str())

@@ -17,12 +17,13 @@
 //!   sequence numbers let a postmortem interleave rings across threads.
 //!
 //! On `panic!` (hooked via `std::panic::set_hook`, chaining the previous
-//! hook) or a fatal signal (`SIGILL`/`SIGABRT`/`SIGBUS`/`SIGSEGV`, via the
-//! same `signal(2)` FFI shape `mab-serve` uses for SIGTERM) the recorder
-//! serializes every thread ring, the active span stack, the installed
-//! run identity (experiment, config digest, config pairs), live sweep
-//! progress and host info into a CRC-framed `crash-<ts>-<pid>-<n>.mabcrash`
-//! report, written atomically (tmp + rename). `mab-inspect postmortem`
+//! hook) or a fatal signal (`SIGILL`/`SIGABRT`/`SIGBUS`/`SIGSEGV`, through
+//! the same [`signal`](crate::signal) binding `mab-serve` uses for SIGTERM)
+//! the recorder serializes every thread ring, the active span stack, the
+//! installed run identity (experiment, config digest, config pairs), live
+//! sweep progress and host info into a CRC-framed
+//! `crash-<ts>-<pid>-<n>.mabcrash` report, written atomically (tmp +
+//! rename). `mab-inspect postmortem`
 //! renders it; [`read_report`] validates and parses it.
 //!
 //! Signal-path caveat (documented in DESIGN §14): a signal-time dump
@@ -32,7 +33,10 @@
 //! `SIG_DFL` first so the process still dies with the original signal if
 //! the dump itself faults.
 
-use std::collections::VecDeque;
+use crate::crc32::crc32;
+use crate::json::{self, escape, JsonValue};
+use crate::ring::Ring;
+use crate::signal;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -97,7 +101,12 @@ static CONTEXT: Mutex<Option<Context>> = Mutex::new(None);
 /// is armed and `false` is returned. Safe to call again (e.g. from tests or
 /// a daemon re-resolving a spec): the context is replaced, hooks stay
 /// installed.
-pub fn install(experiment: &str, digest: &str, config: &[(String, String)], crash_dir: &Path) -> bool {
+pub fn install(
+    experiment: &str,
+    digest: &str,
+    config: &[(String, String)],
+    crash_dir: &Path,
+) -> bool {
     if disabled_by_env() {
         set_enabled(false);
         return false;
@@ -138,65 +147,38 @@ fn install_hooks() {
             }
             prev(info);
         }));
-        fatal::install();
+        install_fatal_handlers();
     });
 }
 
 // ---------------------------------------------------------------------------
-// Fatal-signal handler (same signal(2) FFI shape as mab-serve's drain)
+// Fatal-signal handler
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
-mod fatal {
-    pub const SIGILL: i32 = 4;
-    pub const SIGABRT: i32 = 6;
-    pub const SIGBUS: i32 = 7;
-    pub const SIGSEGV: i32 = 11;
-
-    const SIG_DFL: usize = 0;
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    pub fn install() {
-        for sig in [SIGILL, SIGABRT, SIGBUS, SIGSEGV] {
-            unsafe { signal(sig, on_fatal as *const () as usize) };
-        }
-    }
-
-    pub fn name(sig: i32) -> &'static str {
-        match sig {
-            SIGILL => "SIGILL",
-            SIGABRT => "SIGABRT",
-            SIGBUS => "SIGBUS",
-            SIGSEGV => "SIGSEGV",
-            _ => "signal",
-        }
-    }
-
-    extern "C" fn on_fatal(sig: i32) {
-        // Re-arm the default disposition first: if the dump itself faults,
-        // or when the handler returns (the faulting instruction re-executes
-        // for SEGV/BUS/ILL; abort() re-raises for ABRT), the process still
-        // dies with the original signal.
-        unsafe { signal(sig, SIG_DFL) };
-        if super::is_on() {
-            let message = format!("fatal signal {} ({sig})", name(sig));
-            if let Some(path) = super::dump("signal", &message, Some(sig), true) {
-                // Already past the point of async-signal-safety (dump
-                // allocates); the announcement costs nothing extra.
-                eprintln!("blackbox: crash report written to {}", path.display());
-            }
-        }
+fn install_fatal_handlers() {
+    for sig in [
+        signal::SIGILL,
+        signal::SIGABRT,
+        signal::SIGBUS,
+        signal::SIGSEGV,
+    ] {
+        signal::set_handler(sig, on_fatal);
     }
 }
 
-#[cfg(not(unix))]
-mod fatal {
-    pub fn install() {}
-    pub fn name(_sig: i32) -> &'static str {
-        "signal"
+extern "C" fn on_fatal(sig: i32) {
+    // Re-arm the default disposition first: if the dump itself faults, or
+    // when the handler returns (the faulting instruction re-executes for
+    // SEGV/BUS/ILL; abort() re-raises for ABRT), the process still dies
+    // with the original signal.
+    signal::reset_default(sig);
+    if is_on() {
+        let message = format!("fatal signal {} ({sig})", signal::name(sig));
+        if let Some(path) = dump("signal", &message, Some(sig), true) {
+            // Already past the point of async-signal-safety (dump
+            // allocates); the announcement costs nothing extra.
+            eprintln!("blackbox: crash report written to {}", path.display());
+        }
     }
 }
 
@@ -296,8 +278,9 @@ impl BbEvent {
 }
 
 struct RingInner {
-    events: VecDeque<(u64, BbEvent)>,
-    dropped: u64,
+    /// `(global sequence number, event)` pairs; the ring's own numbering
+    /// is per thread, so the global [`SEQ`] rides along.
+    events: Ring<(u64, BbEvent)>,
     /// Sweep arm currently executing on this thread, if any.
     arm: Option<(usize, u64)>,
 }
@@ -310,12 +293,7 @@ struct ThreadRing {
 impl ThreadRing {
     fn push(&self, event: BbEvent) {
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock().unwrap();
-        if inner.events.len() == RING_CAPACITY {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back((seq, event));
+        self.inner.lock().unwrap().events.push((seq, event));
     }
 }
 
@@ -339,8 +317,7 @@ fn with_ring(f: impl FnOnce(&ThreadRing)) {
             let ring = Arc::new(ThreadRing {
                 name,
                 inner: Mutex::new(RingInner {
-                    events: VecDeque::with_capacity(RING_CAPACITY),
-                    dropped: 0,
+                    events: Ring::new(RING_CAPACITY),
                     arm: None,
                 }),
             });
@@ -543,7 +520,7 @@ fn render_body(
     };
     let mut body = String::with_capacity(16 * 1024);
     let sig = match signal {
-        Some(s) => format!(",\"signal\":{s},\"signal_name\":\"{}\"", fatal::name(s)),
+        Some(s) => format!(",\"signal\":{s},\"signal_name\":\"{}\"", signal::name(s)),
         None => String::new(),
     };
     body.push_str(&format!(
@@ -619,10 +596,10 @@ fn render_body(
             "{{\"kind\":\"thread\",\"id\":{idx},\"name\":\"{}\",\"current\":{},\"dropped\":{},\"events\":{}}}\n",
             escape(&ring.name),
             own_ring.as_ref().is_some_and(|own| Arc::ptr_eq(own, ring)),
-            inner.dropped,
+            inner.events.dropped(),
             inner.events.len()
         ));
-        for (seq, event) in &inner.events {
+        for (seq, event) in inner.events.iter() {
             events.push_str(&event.to_json(idx, *seq));
             events.push('\n');
         }
@@ -664,13 +641,51 @@ fn write_report(dir: &Path, body: &str) -> std::io::Result<PathBuf> {
 // ---------------------------------------------------------------------------
 
 /// One event line from a parsed report: its global sequence number, type
-/// and raw JSON line (field access via [`json_u64`] & friends).
+/// and every field of the line, parsed.
 #[derive(Debug, Clone)]
 pub struct CrashEvent {
     pub thread: usize,
     pub seq: u64,
     pub etype: String,
-    pub line: String,
+    pub fields: JsonValue,
+}
+
+impl CrashEvent {
+    /// Unsigned integer field `key` (0 when absent).
+    pub fn int(&self, key: &str) -> u64 {
+        int(&self.fields, key)
+    }
+
+    /// Numeric field `key` (0.0 when absent).
+    pub fn num(&self, key: &str) -> f64 {
+        self.fields
+            .get(key)
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(0.0)
+    }
+
+    /// String field `key` (empty when absent).
+    pub fn text(&self, key: &str) -> &str {
+        text(&self.fields, key)
+    }
+
+    /// Boolean field `key` (false when absent).
+    pub fn flag(&self, key: &str) -> bool {
+        flag(&self.fields, key)
+    }
+}
+
+// Field readers with the report's defaults for absent keys.
+fn int(v: &JsonValue, key: &str) -> u64 {
+    v.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
+}
+
+fn text<'a>(v: &'a JsonValue, key: &str) -> &'a str {
+    v.get(key).and_then(JsonValue::as_str).unwrap_or("")
+}
+
+fn flag(v: &JsonValue, key: &str) -> bool {
+    v.get(key).and_then(JsonValue::as_bool).unwrap_or(false)
 }
 
 /// One thread ring from a parsed report.
@@ -721,11 +736,15 @@ impl CrashReport {
 /// Reads and validates a `.mabcrash` report: checks the magic, the CRC32
 /// over the body, and the line count, then parses every line.
 pub fn read_report(path: &Path) -> Result<CrashReport, String> {
-    let raw = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let (header, body) = raw
-        .split_once('\n')
+    let raw = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let split = raw
+        .iter()
+        .position(|&b| b == b'\n')
         .ok_or_else(|| format!("{}: empty report", path.display()))?;
-    let mut parts = header.split(' ');
+    let (header, body) = (&raw[..split], &raw[split + 1..]);
+    // The CRC covers raw bytes, so damage is reported as damage even when it
+    // also broke the UTF-8.
+    let mut parts = std::str::from_utf8(header).unwrap_or("").split(' ');
     if parts.next() != Some(MAGIC) {
         return Err(format!("{}: not a {MAGIC} report", path.display()));
     }
@@ -737,13 +756,14 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("{}: malformed header", path.display()))?;
-    let crc_actual = crc32(body.as_bytes());
+    let crc_actual = crc32(body);
     if crc_actual != crc_expected {
         return Err(format!(
             "{}: CRC mismatch (header {crc_expected:08x}, body {crc_actual:08x})",
             path.display()
         ));
     }
+    let body = std::str::from_utf8(body).map_err(|e| format!("{}: {e}", path.display()))?;
     if body.lines().count() != lines_expected {
         return Err(format!(
             "{}: line count mismatch (header {lines_expected}, body {})",
@@ -753,61 +773,44 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
     }
     let mut report = CrashReport::default();
     for line in body.lines() {
-        match json_str(line, "kind").as_deref() {
-            Some("crash") => {
-                report.cause = json_str(line, "cause").unwrap_or_default();
-                report.message = json_str(line, "message").unwrap_or_default();
-                report.signal = json_i64(line, "signal");
-                report.thread = json_str(line, "thread").unwrap_or_default();
-                report.time_unix = json_u64(line, "time_unix").unwrap_or(0);
-                report.experiment = json_str(line, "experiment").unwrap_or_default();
-                report.digest = json_str(line, "digest").unwrap_or_default();
+        let v = json::parse(line)
+            .map_err(|e| format!("{}: malformed line {line:?}: {e}", path.display()))?;
+        let string = |key| text(&v, key).to_string();
+        match text(&v, "kind") {
+            "crash" => {
+                report.cause = string("cause");
+                report.message = string("message");
+                report.signal = v.get("signal").and_then(JsonValue::as_i64);
+                report.thread = string("thread");
+                report.time_unix = int(&v, "time_unix");
+                report.experiment = string("experiment");
+                report.digest = string("digest");
             }
-            Some("config") => {
-                report.config.push((
-                    json_str(line, "key").unwrap_or_default(),
-                    json_str(line, "value").unwrap_or_default(),
-                ));
+            "config" => report.config.push((string("key"), string("value"))),
+            "host" => {
+                report.cpus = int(&v, "cpus");
+                report.kernel_mode = string("kernel_mode");
+                report.hostname = string("hostname");
             }
-            Some("host") => {
-                report.cpus = json_u64(line, "cpus").unwrap_or(0);
-                report.kernel_mode = json_str(line, "kernel_mode").unwrap_or_default();
-                report.hostname = json_str(line, "hostname").unwrap_or_default();
+            "sweep" => {
+                report.sweep = Some((int(&v, "done"), int(&v, "total"), flag(&v, "active")));
             }
-            Some("sweep") => {
-                report.sweep = Some((
-                    json_u64(line, "done").unwrap_or(0),
-                    json_u64(line, "total").unwrap_or(0),
-                    json_bool(line, "active").unwrap_or(false),
-                ));
-            }
-            Some("arm") => {
-                report.arm = Some((
-                    json_u64(line, "index").unwrap_or(0),
-                    json_u64(line, "seed").unwrap_or(0),
-                ));
-            }
-            Some("span") => {
-                report
-                    .span_stack
-                    .push(json_str(line, "frame").unwrap_or_default());
-            }
-            Some("thread") => {
-                report.threads.push(CrashThread {
-                    name: json_str(line, "name").unwrap_or_default(),
-                    current: json_bool(line, "current").unwrap_or(false),
-                    dropped: json_u64(line, "dropped").unwrap_or(0),
-                    events: Vec::new(),
-                });
-            }
-            Some("event") => {
-                let thread = json_u64(line, "thread").unwrap_or(0) as usize;
+            "arm" => report.arm = Some((int(&v, "index"), int(&v, "seed"))),
+            "span" => report.span_stack.push(string("frame")),
+            "thread" => report.threads.push(CrashThread {
+                name: string("name"),
+                current: flag(&v, "current"),
+                dropped: int(&v, "dropped"),
+                events: Vec::new(),
+            }),
+            "event" => {
+                let thread = int(&v, "thread") as usize;
                 if let Some(t) = report.threads.get_mut(thread) {
                     t.events.push(CrashEvent {
                         thread,
-                        seq: json_u64(line, "seq").unwrap_or(0),
-                        etype: json_str(line, "type").unwrap_or_default(),
-                        line: line.to_string(),
+                        seq: int(&v, "seq"),
+                        etype: string("type"),
+                        fields: v,
                     });
                 }
             }
@@ -818,142 +821,6 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
         return Err(format!("{}: missing crash line", path.display()));
     }
     Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON helpers (flat objects, the only shape the report uses)
-// ---------------------------------------------------------------------------
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Raw text of `"key":<value>` in a flat JSON object line, if present.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if let Some(inner) = rest.strip_prefix('"') {
-        // String value: scan to the closing unescaped quote.
-        let mut escaped = false;
-        for (i, c) in inner.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                return Some(&inner[..i]);
-            }
-        }
-        None
-    } else {
-        let end = rest
-            .find([',', '}'])
-            .unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-/// String field of a flat JSON object line.
-pub fn json_str(line: &str, key: &str) -> Option<String> {
-    Some(unescape(json_raw(line, key)?))
-}
-
-/// Unsigned integer field of a flat JSON object line.
-pub fn json_u64(line: &str, key: &str) -> Option<u64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-/// Signed integer field of a flat JSON object line.
-pub fn json_i64(line: &str, key: &str) -> Option<i64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-/// Float field of a flat JSON object line.
-pub fn json_f64(line: &str, key: &str) -> Option<f64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-/// Boolean field of a flat JSON object line.
-pub fn json_bool(line: &str, key: &str) -> Option<bool> {
-    match json_raw(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE). Local implementation: `mab-traces` has the same polynomial
-// but depending on it here would invert the crate layering.
-// ---------------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 (IEEE 802.3) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 #[cfg(test)]
@@ -976,28 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn json_helpers_round_trip_escapes() {
-        let line = format!(
-            "{{\"kind\":\"note\",\"text\":\"{}\",\"n\":42,\"x\":-1.5,\"ok\":true}}",
-            escape("a \"quoted\"\nline\\end")
-        );
-        assert_eq!(
-            json_str(&line, "text").unwrap(),
-            "a \"quoted\"\nline\\end"
-        );
-        assert_eq!(json_u64(&line, "n"), Some(42));
-        assert_eq!(json_f64(&line, "x"), Some(-1.5));
-        assert_eq!(json_bool(&line, "ok"), Some(true));
-        assert_eq!(json_str(&line, "missing"), None);
-    }
-
-    #[test]
     fn probes_are_inert_while_off() {
         let _guard = TEST_LOCK.lock().unwrap();
         set_enabled(false);
@@ -1016,7 +861,14 @@ mod tests {
         ];
         assert!(install("fig08_singlecore", "ab12cd34", &config, &dir));
         for step in 0..12 {
-            decision(7, step, (step % 3) as usize, 0.5 + step as f64 * 0.01, 0.9, step % 2 == 0);
+            decision(
+                7,
+                step,
+                (step % 3) as usize,
+                0.5 + step as f64 * 0.01,
+                0.9,
+                step % 2 == 0,
+            );
         }
         epoch("mem", 3, 120_000, 1.25);
         arm_start(4, 123_456);
@@ -1035,8 +887,8 @@ mod tests {
         let decisions = report.last_decisions();
         assert!(decisions.len() >= 8, "{} decisions", decisions.len());
         let last = decisions.last().unwrap();
-        assert_eq!(json_u64(&last.line, "step"), Some(11));
-        assert!(json_f64(&last.line, "q").unwrap() > 0.0);
+        assert_eq!(last.int("step"), 11);
+        assert!(last.num("q") > 0.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1058,7 +910,7 @@ mod tests {
         assert!(t.dropped >= extra as u64, "dropped = {}", t.dropped);
         // The oldest retained note is the one right after the dropped span.
         let first_note = t.events.iter().find(|e| e.etype == "note").unwrap();
-        let text = json_str(&first_note.line, "text").unwrap();
+        let text = first_note.text("text");
         let idx: usize = text[1..].parse().unwrap();
         assert!(idx >= extra, "oldest retained = {text}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -7,6 +7,7 @@
 use crate::counters::Stat;
 use crate::event::Event;
 use crate::hist::Hist;
+use crate::json::{escape, fmt_f64};
 use crate::ring::SeqEvent;
 use crate::Recorder;
 use std::io::{self, Write};
@@ -118,25 +119,6 @@ pub fn event_fields(event: &Event) -> Vec<(&'static str, Field)> {
     }
 }
 
-/// Escapes a string for inclusion inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Escapes a field for CSV: quotes it when it contains a comma, quote or
 /// newline, doubling embedded quotes.
 pub fn escape_csv(s: &str) -> String {
@@ -150,10 +132,9 @@ pub fn escape_csv(s: &str) -> String {
 fn json_value(f: Field) -> String {
     match f {
         Field::U64(v) => v.to_string(),
-        Field::F64(v) if v.is_finite() => format!("{v}"),
-        Field::F64(_) => "null".to_string(),
+        Field::F64(v) => fmt_f64(v),
         Field::Bool(v) => v.to_string(),
-        Field::Str(s) => format!("\"{}\"", escape_json(s)),
+        Field::Str(s) => format!("\"{}\"", escape(s)),
     }
 }
 
@@ -172,10 +153,10 @@ pub fn event_to_json(e: &SeqEvent) -> String {
     let mut line = format!(
         "{{\"seq\":{},\"kind\":\"{}\"",
         e.seq,
-        escape_json(e.event.kind())
+        escape(e.event.kind())
     );
     for (key, value) in event_fields(&e.event) {
-        line.push_str(&format!(",\"{}\":{}", escape_json(key), json_value(value)));
+        line.push_str(&format!(",\"{}\":{}", escape(key), json_value(value)));
     }
     line.push('}');
     line
@@ -244,7 +225,7 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
             writeln!(
                 w,
                 "{{\"kind\":\"counter\",\"stat\":\"{}\",\"value\":{}}}",
-                escape_json(stat.name()),
+                escape(stat.name()),
                 value
             )?;
         }
@@ -261,12 +242,12 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
             writeln!(
                 w,
                 "{{\"kind\":\"histogram\",\"hist\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
-                escape_json(h.name()),
+                escape(h.name()),
                 hist.count(),
-                json_value(Field::F64(rec.hist_display(h, hist.mean()))),
-                json_value(Field::F64(rec.hist_display(h, hist.percentile(0.5) as f64))),
-                json_value(Field::F64(rec.hist_display(h, hist.percentile(0.9) as f64))),
-                json_value(Field::F64(rec.hist_display(h, hist.percentile(0.99) as f64))),
+                fmt_f64(rec.hist_display(h, hist.mean())),
+                fmt_f64(rec.hist_display(h, hist.percentile(0.5) as f64)),
+                fmt_f64(rec.hist_display(h, hist.percentile(0.9) as f64)),
+                fmt_f64(rec.hist_display(h, hist.percentile(0.99) as f64)),
                 buckets,
             )?;
         }
@@ -277,7 +258,7 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
         writeln!(
             w,
             "{{\"kind\":\"span\",\"path\":\"{}\",\"count\":{},\"timed\":{},\"total_ns\":{},\"est_ns\":{},\"self_ns\":{}}}",
-            escape_json(path),
+            escape(path),
             totals.count,
             totals.timed,
             totals.total_ns,
@@ -307,11 +288,11 @@ mod tests {
 
     #[test]
     fn json_escaping_covers_specials() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b"), "a\\\"b");
-        assert_eq!(escape_json("a\\b"), "a\\\\b");
-        assert_eq!(escape_json("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a\"b"), "a\\\"b");
+        assert_eq!(escape("a\\b"), "a\\\\b");
+        assert_eq!(escape("a\nb\tc"), "a\\nb\\tc");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! A minimal JSON parser (and string/number writer) for the workspace's
-//! JSONL artifacts.
+//! The workspace's one JSON module: a string escaper and float formatter
+//! for the hand-rolled writers (telemetry exports, decision traces, ledger
+//! lines, `.mabcrash` reports, `/status`, job specs) and the one reader
+//! that parses all of them back.
 //!
 //! The offline build has no serde_json, and the shimmed `serde` is a no-op,
-//! so parsing is hand-rolled — mirroring the hand-rolled writers in
-//! `mab-telemetry::export` and `mab-telemetry::trace`. The subset is full
-//! JSON minus exotic escapes: objects, arrays, strings (with `\"`, `\\`,
-//! `\n`, `\t`, `\r`, `\uXXXX`), numbers, booleans and `null` — more than
-//! enough for the flat single-line records the exporters emit.
+//! so parsing is hand-rolled. The subset is full JSON minus exotic escapes:
+//! objects, arrays, strings (with `\"`, `\\`, `\n`, `\t`, `\r`,
+//! `\uXXXX`), numbers, booleans and `null`.
 //!
-//! This module started life in `mab-inspect`; it lives in `mab-ledger` now
-//! so the run ledger (the lowest layer that both records and reads JSONL)
-//! owns it, and `mab-inspect` re-exports it unchanged.
+//! The reader sits on trust boundaries — `mab-serve` parses request bodies
+//! of up to 1 MiB with it — so hostile input must come back as `Err`, never
+//! a panic or a hang: nesting is capped at [`MAX_DEPTH`], `\u` escapes are
+//! validated before they are sliced, and every step consumes input.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +62,15 @@ impl JsonValue {
         }
     }
 
+    /// The value as a signed integer, if numeric and integral.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            JsonValue::Int(v) => i64::try_from(*v).ok(),
+            JsonValue::Num(v) if v.fract() == 0.0 && v.abs() < 9.2e18 => Some(*v as i64),
+            _ => None,
+        }
+    }
+
     /// The value as a bool, if boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -102,15 +112,23 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every artifact the
+/// workspace writes nests at most three levels; the cap keeps a document
+/// like `[[[[…` from recursing until the stack overflows.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document from `input` (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or of
+/// the container that nests deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -149,9 +167,18 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Formats floats as a JSON array, each through [`fmt_f64`].
+pub fn fmt_f64_array(values: impl IntoIterator<Item = f64>) -> String {
+    let items: Vec<String> = values.into_iter().map(fmt_f64).collect();
+    format!("[{}]", items.join(","))
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -176,8 +203,12 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -185,6 +216,16 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -241,13 +282,17 @@ impl<'a> Parser<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4]).unwrap();
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                            // Four ASCII hex digits, checked before slicing:
+                            // a multi-byte character inside the window would
+                            // otherwise split mid-codepoint.
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            let code = hex.iter().fold(0u32, |acc, &h| {
+                                acc * 16 + char::from(h).to_digit(16).unwrap_or(0)
+                            });
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
@@ -255,12 +300,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (may be multi-byte).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or escape. `pos` only ever advances by whole
+                    // characters, so it stays on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -351,6 +397,41 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        // Exactly at the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn unicode_escape_cut_by_a_multibyte_char_is_an_error() {
+        assert!(parse("\"\\u123é\"").is_err());
+        assert!(parse("\"\\u12\"").is_err());
+        assert!(parse("\"\\u+123\"").is_err());
+        assert_eq!(parse("\"\\u00e9\"").unwrap().as_str(), Some("é"));
+    }
+
+    #[test]
+    fn multibyte_strings_parse_in_one_pass() {
+        let long = "é✓".repeat(200_000);
+        let v = parse(&format!("\"{long}\"")).unwrap();
+        assert_eq!(v.as_str(), Some(long.as_str()));
+    }
+
+    #[test]
+    fn signed_integers() {
+        let v = parse("{\"a\": -11, \"b\": 7, \"c\": 1.5}").unwrap();
+        assert_eq!(v.get("a").unwrap().as_i64(), Some(-11));
+        assert_eq!(v.get("b").unwrap().as_i64(), Some(7));
+        assert_eq!(v.get("c").unwrap().as_i64(), None);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! - [`EventRing`](ring::EventRing) — fixed-capacity ring buffer of
 //!   structured [`Event`]s with sequence numbers and drop accounting.
 //! - [`export`] — hand-rolled JSON-lines and CSV exporters.
+//! - The workspace's shared primitives, one of each: [`crc32`], [`json`]
+//!   (escaper, float formatter and reader), the bounded [`Ring`] every
+//!   event buffer is built on, and the [`signal`] binding.
 //! - [`summary`] — the periodic-summary sink used by experiment binaries.
 //! - [`live`] — the seqlock'd sweep-progress cell and the shared ETA/rate
 //!   formatting consumed by both the stderr progress line and the
@@ -38,14 +41,17 @@
 
 pub mod blackbox;
 pub mod counters;
+pub mod crc32;
 pub mod event;
 pub mod export;
 pub mod hist;
 pub mod hotpath;
+pub mod json;
 pub mod live;
 pub mod perfetto;
 pub mod profile;
 pub mod ring;
+pub mod signal;
 pub mod span;
 pub mod summary;
 pub mod trace;
@@ -54,7 +60,7 @@ pub use counters::{Counters, Stat};
 pub use event::{CacheLevel, Event};
 pub use hist::{Hist, Histogram};
 pub use profile::ProfileReport;
-pub use ring::{EventRing, SeqEvent};
+pub use ring::{EventRing, Ring, SeqEvent};
 pub use span::{Category, SpanGuard, SpanTotals};
 pub use summary::SummarySink;
 pub use trace::{ArmProbe, DecisionRecord, SeqDecision, TraceRing};

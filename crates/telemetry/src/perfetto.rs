@@ -19,7 +19,7 @@
 //! absolute durations read as "cycles", which is the unit that matters here.
 
 use crate::event::Event;
-use crate::export::escape_json;
+use crate::json::{escape, fmt_f64, fmt_f64_array};
 use crate::trace::SeqDecision;
 use crate::Recorder;
 use std::io::{self, Write};
@@ -27,14 +27,6 @@ use std::io::{self, Write};
 const PID_BANDIT: u64 = 1;
 const PID_MEMSIM: u64 = 2;
 const PID_SMTSIM: u64 = 3;
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Comma-separating JSON array item writer.
 struct Items<'a, W: Write> {
@@ -61,7 +53,7 @@ fn meta_process(items: &mut Items<impl Write>, pid: u64, name: &str) -> io::Resu
     items.item(&format!(
         "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
          \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(name)
+        escape(name)
     ))
 }
 
@@ -69,7 +61,7 @@ fn meta_thread(items: &mut Items<impl Write>, pid: u64, tid: u64, name: &str) ->
     items.item(&format!(
         "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
          \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(name)
+        escape(name)
     ))
 }
 
@@ -87,27 +79,15 @@ fn decision_args(d: &SeqDecision) -> String {
     let r = &d.record;
     format!(
         "{{\"epoch\":{},\"phase\":\"{}\",\"explore\":{},\"reward\":{},\
-         \"normalized\":{},\"q\":[{}],\"bound\":[{}],\"pulls\":[{}]}}",
+         \"normalized\":{},\"q\":{},\"bound\":{},\"pulls\":{}}}",
         r.epoch,
-        escape_json(r.phase),
+        escape(r.phase),
         r.explore,
-        json_f64(r.reward),
-        json_f64(r.normalized),
-        r.arms
-            .iter()
-            .map(|a| json_f64(a.q))
-            .collect::<Vec<_>>()
-            .join(","),
-        r.arms
-            .iter()
-            .map(|a| json_f64(a.bound))
-            .collect::<Vec<_>>()
-            .join(","),
-        r.arms
-            .iter()
-            .map(|a| json_f64(a.pulls))
-            .collect::<Vec<_>>()
-            .join(","),
+        fmt_f64(r.reward),
+        fmt_f64(r.normalized),
+        fmt_f64_array(r.arms.iter().map(|a| a.q)),
+        fmt_f64_array(r.arms.iter().map(|a| a.bound)),
+        fmt_f64_array(r.arms.iter().map(|a| a.pulls)),
     )
 }
 
@@ -164,7 +144,7 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                  \"name\":\"reward (agent {:#x})\",\"args\":{{\"normalized\":{}}}}}",
                 r.cycle,
                 r.agent,
-                json_f64(r.normalized)
+                fmt_f64(r.normalized)
             ))?;
         }
         let switched = decisions[..i]
@@ -194,8 +174,8 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                     "{{\"ph\":\"C\",\"pid\":{},\"ts\":{cycle},\"name\":\"{}[{id}]\",\
                      \"args\":{{\"value\":{}}}}}",
                     occupancy_pid(track),
-                    escape_json(track),
-                    json_f64(value)
+                    escape(track),
+                    fmt_f64(value)
                 ))?;
             }
             Event::EpochReset { agent, step } if agents.contains(&agent) => {

@@ -8,12 +8,12 @@
 //! chosen arm, whether the pick was exploratory, and — once the bandit step
 //! finishes — the delayed reward attributed back to the decision.
 //!
-//! Records live in a [`TraceRing`] with the same bounded-buffer discipline
-//! as the event ring: fixed capacity, overwrite-oldest, sequence numbers and
-//! drop accounting, a short mutex critical section (decisions are per
-//! bandit step, orders of magnitude rarer than counter bumps).
+//! Records live in a [`TraceRing`]: a [`Ring`] behind a short mutex
+//! critical section (decisions are per bandit step, orders of magnitude
+//! rarer than counter bumps), plus the delayed-reward attribution state.
 
-use std::collections::VecDeque;
+use crate::json::{escape, fmt_f64, fmt_f64_array};
+use crate::ring::Ring;
 use std::sync::Mutex;
 
 /// Per-arm agent state captured at decision time.
@@ -57,7 +57,7 @@ pub struct DecisionRecord {
     pub normalized: f64,
 }
 
-/// A sequence-numbered decision as stored in the ring.
+/// A sequence-numbered decision as read out of the [`TraceRing`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqDecision {
     /// Global sequence number (0-based, never reused).
@@ -67,49 +67,31 @@ pub struct SeqDecision {
 }
 
 struct TraceInner {
-    buf: VecDeque<SeqDecision>,
-    next_seq: u64,
-    dropped: u64,
+    ring: Ring<DecisionRecord>,
     /// Rewards whose decision was already evicted when attribution arrived.
     unattributed: u64,
 }
 
 /// Fixed-capacity, overwrite-oldest decision log with delayed-reward
 /// attribution.
-pub struct TraceRing {
-    capacity: usize,
-    inner: Mutex<TraceInner>,
-}
+pub struct TraceRing(Mutex<TraceInner>);
 
 impl TraceRing {
     /// A ring holding at most `capacity` decisions (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        TraceRing {
-            capacity: capacity.max(1),
-            inner: Mutex::new(TraceInner {
-                buf: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-                next_seq: 0,
-                dropped: 0,
-                unattributed: 0,
-            }),
-        }
+        TraceRing(Mutex::new(TraceInner {
+            ring: Ring::new(capacity),
+            unattributed: 0,
+        }))
     }
 
-    /// Maximum number of retained decisions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn inner(&self) -> std::sync::MutexGuard<'_, TraceInner> {
+        self.0.lock().unwrap()
     }
 
     /// Appends a decision, evicting the oldest if the ring is full.
     pub fn push(&self, record: DecisionRecord) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.buf.len() == self.capacity {
-            inner.buf.pop_front();
-            inner.dropped += 1;
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.buf.push_back(SeqDecision { seq, record });
+        self.inner().ring.push(record);
     }
 
     /// Attributes the delayed reward of step `epoch` of `agent` back to its
@@ -117,11 +99,11 @@ impl TraceRing {
     /// most recent record of that agent. Counts the attribution as lost when
     /// the decision has already been evicted.
     pub fn attribute(&self, agent: u64, epoch: u64, reward: f64, normalized: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        for d in inner.buf.iter_mut().rev() {
-            if d.record.agent == agent && d.record.epoch == epoch {
-                d.record.reward = reward;
-                d.record.normalized = normalized;
+        let mut inner = self.inner();
+        for d in inner.ring.iter_mut().rev() {
+            if d.agent == agent && d.epoch == epoch {
+                d.reward = reward;
+                d.normalized = normalized;
                 return;
             }
         }
@@ -130,7 +112,7 @@ impl TraceRing {
 
     /// Number of decisions currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().buf.len()
+        self.inner().ring.len()
     }
 
     /// True when no decisions are retained.
@@ -140,43 +122,31 @@ impl TraceRing {
 
     /// Number of decisions lost to wraparound.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        self.inner().ring.dropped()
     }
 
     /// Total decisions ever pushed.
     pub fn total_pushed(&self) -> u64 {
-        self.inner.lock().unwrap().next_seq
+        self.inner().ring.pushed()
     }
 
     /// Rewards that arrived after their decision was evicted.
     pub fn unattributed(&self) -> u64 {
-        self.inner.lock().unwrap().unattributed
+        self.inner().unattributed
     }
 
     /// The retained decisions, oldest first.
     pub fn decisions(&self) -> Vec<SeqDecision> {
-        self.inner.lock().unwrap().buf.iter().cloned().collect()
+        let inner = self.inner();
+        inner
+            .ring
+            .iter_seq()
+            .map(|(seq, record)| SeqDecision {
+                seq,
+                record: record.clone(),
+            })
+            .collect()
     }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_f64_array(values: impl Iterator<Item = f64>) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(v));
-    }
-    out.push(']');
-    out
 }
 
 /// One decision as a JSON object on a single line
@@ -193,12 +163,12 @@ pub fn decision_to_json(d: &SeqDecision) -> String {
         r.cycle,
         r.chosen,
         r.explore,
-        crate::export::escape_json(r.phase),
-        json_f64(r.reward),
-        json_f64(r.normalized),
-        json_f64_array(r.arms.iter().map(|a| a.q)),
-        json_f64_array(r.arms.iter().map(|a| a.bound)),
-        json_f64_array(r.arms.iter().map(|a| a.pulls)),
+        escape(r.phase),
+        fmt_f64(r.reward),
+        fmt_f64(r.normalized),
+        fmt_f64_array(r.arms.iter().map(|a| a.q)),
+        fmt_f64_array(r.arms.iter().map(|a| a.bound)),
+        fmt_f64_array(r.arms.iter().map(|a| a.pulls)),
     )
 }
 

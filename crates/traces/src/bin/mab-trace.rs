@@ -14,6 +14,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use mab_telemetry::json::escape;
 use mab_traces::format::{peek_meta, PayloadKind, TraceMeta};
 use mab_traces::{convert, record_app_to_file, record_smt_to_file, SmtTraceReader, TraceReader};
 use mab_workloads::{smt, suites};
@@ -150,24 +151,6 @@ fn smt_names() -> String {
         .join(", ")
 }
 
-/// Minimal JSON string escaping for the provenance field (the only
-/// free-form string in the header).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The header as a JSON object body (no trailing brace, so `info` can
 /// append the index probe).
 fn meta_json_fields(meta: &TraceMeta) -> String {
@@ -179,7 +162,7 @@ fn meta_json_fields(meta: &TraceMeta) -> String {
         meta.line_size,
         meta.block_len,
         meta.seed,
-        json_escape(&meta.provenance),
+        escape(&meta.provenance),
     )
 }
 

@@ -8,7 +8,8 @@
 
 use crate::codec::Codec;
 use crate::error::Result;
-use crate::format::{crc32, TraceMeta, FOOTER_MAGIC, RECORD_COUNT_OFFSET};
+use crate::format::{TraceMeta, FOOTER_MAGIC, RECORD_COUNT_OFFSET};
+use mab_telemetry::crc32::crc32;
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write as _};
 use std::marker::PhantomData;

@@ -110,6 +110,13 @@ impl Criterion {
         self
     }
 
+    /// Overrides the number of timed samples per benchmark (for
+    /// [`Criterion::bench_pair`], the number of A/B rounds).
+    pub fn sample_size(mut self, n: usize) -> Self {
+        self.samples = n.max(1);
+        self
+    }
+
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -135,13 +142,13 @@ impl Criterion {
     /// then arm B, so drift hits both arms alike and the medians stay
     /// comparable. Results are recorded under `id_a` / `id_b` exactly as
     /// if each arm had run through [`Criterion::bench_function`].
-    pub fn bench_pair<FA, FB>(
-        &mut self,
-        id_a: &str,
-        id_b: &str,
-        mut fa: FA,
-        mut fb: FB,
-    ) -> &mut Self
+    ///
+    /// Returns the median over rounds of the per-round ratio B/A. Drift
+    /// slower than one round cancels out of every ratio, so this is the
+    /// steadier estimate of B's relative cost (an overhead gate reads
+    /// `(ratio - 1) * 100` as percent); the two medians can come from
+    /// different rounds.
+    pub fn bench_pair<FA, FB>(&mut self, id_a: &str, id_b: &str, mut fa: FA, mut fb: FB) -> f64
     where
         FA: FnMut(&mut Bencher),
         FB: FnMut(&mut Bencher),
@@ -170,16 +177,20 @@ impl Criterion {
                 }
             }
         }
-        for (id, mut samples) in [(id_a, samples_a), (id_b, samples_b)] {
-            samples.sort_by(|a, b| a.total_cmp(b));
-            let ns = samples[samples.len() / 2];
+        let ratios: Vec<f64> = samples_a
+            .iter()
+            .zip(&samples_b)
+            .map(|(a, b)| b / a)
+            .collect();
+        for (id, samples) in [(id_a, samples_a), (id_b, samples_b)] {
+            let ns = median(samples);
             println!("{id:<50} {ns:>14.1} ns/iter");
             self.results.push(BenchResult {
                 id: id.to_string(),
                 ns_per_iter: ns,
             });
         }
-        self
+        median(ratios)
     }
 
     /// All results recorded so far, in execution order.
@@ -238,8 +249,7 @@ impl Criterion {
                 samples.push(b.elapsed.as_secs_f64() * 1e9 / iters as f64);
             }
         }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let ns = samples[samples.len() / 2];
+        let ns = median(samples);
 
         let thr = match throughput {
             Some(Throughput::Elements(n)) if ns > 0.0 => {
@@ -256,6 +266,12 @@ impl Criterion {
             ns_per_iter: ns,
         });
     }
+}
+
+/// The upper median of `samples` (which must be non-empty).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
 }
 
 /// A named set of benchmarks sharing throughput settings.
@@ -357,6 +373,28 @@ mod tests {
         );
         assert!(c.result_ns("pair/a").is_some());
         assert!(c.result_ns("pair/b").is_some());
+    }
+
+    #[test]
+    fn bench_pair_returns_the_median_round_ratio() {
+        // Simulated clocks: arm A costs 100 ns/iter, arm B 300 ns/iter
+        // except in one outlier round, which the median ignores.
+        let mut c = Criterion::default()
+            .measurement_time(Duration::from_millis(1))
+            .sample_size(5);
+        let mut round = 0;
+        let ratio = c.bench_pair(
+            "sim/a",
+            "sim/b",
+            |b| b.elapsed = Duration::from_nanos(100 * b.iters),
+            |b| {
+                round += 1;
+                let ns = if round == 4 { 3_000 } else { 300 };
+                b.elapsed = Duration::from_nanos(ns * b.iters);
+            },
+        );
+        assert!((ratio - 3.0).abs() < 1e-9, "ratio {ratio}");
+        assert!((c.result_ns("sim/a").unwrap() - 100.0).abs() < 1e-9);
     }
 
     #[test]
