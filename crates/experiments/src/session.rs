@@ -416,10 +416,7 @@ mod tests {
         assert_eq!(record.code, code_version());
         // Host circumstance is recorded but never digested.
         assert!(record.cpus >= 1);
-        assert!(matches!(
-            record.kernel_mode.as_deref(),
-            Some("simd" | "scalar")
-        ));
+        assert!(matches!(record.kernel_mode.as_deref(), Some("simd" | "scalar")));
         assert!(record.host.as_deref().is_some_and(|h| !h.is_empty()));
 
         // A second identical session in the same process dedups (unless the

@@ -370,10 +370,7 @@ mod tests {
     fn json_output_parses_and_round_trips_key_fields() {
         let doc = postmortem_json(&sample_report());
         let value = json::parse(&doc).expect("postmortem --json must be valid JSON");
-        assert_eq!(
-            value.get("cause").and_then(JsonValue::as_str),
-            Some("panic")
-        );
+        assert_eq!(value.get("cause").and_then(JsonValue::as_str), Some("panic"));
         assert_eq!(
             value
                 .get("arm")
@@ -381,16 +378,10 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(3)
         );
-        let decisions = value
-            .get("last_decisions")
-            .and_then(JsonValue::as_arr)
-            .unwrap();
+        let decisions = value.get("last_decisions").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(decisions.len(), 8);
         let threads = value.get("threads").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(threads.len(), 2);
-        assert_eq!(
-            threads[1].get("dropped").and_then(JsonValue::as_u64),
-            Some(5)
-        );
+        assert_eq!(threads[1].get("dropped").and_then(JsonValue::as_u64), Some(5));
     }
 }

@@ -502,11 +502,7 @@ mod tests {
         assert!(r.same_outcome(&parsed));
         // Absent when unrecorded (and in the JSON).
         let plain = sample();
-        assert!(
-            !plain.to_json().contains("kernel_mode"),
-            "{}",
-            plain.to_json()
-        );
+        assert!(!plain.to_json().contains("kernel_mode"), "{}", plain.to_json());
         assert!(!plain.to_json().contains("\"host\""));
         assert!(!plain.to_json().contains("\"cpus\""));
         let reparsed = RunRecord::from_json(&plain.to_json()).unwrap();

@@ -101,12 +101,7 @@ static CONTEXT: Mutex<Option<Context>> = Mutex::new(None);
 /// is armed and `false` is returned. Safe to call again (e.g. from tests or
 /// a daemon re-resolving a spec): the context is replaced, hooks stay
 /// installed.
-pub fn install(
-    experiment: &str,
-    digest: &str,
-    config: &[(String, String)],
-    crash_dir: &Path,
-) -> bool {
+pub fn install(experiment: &str, digest: &str, config: &[(String, String)], crash_dir: &Path) -> bool {
     if disabled_by_env() {
         set_enabled(false);
         return false;
@@ -861,14 +856,7 @@ mod tests {
         ];
         assert!(install("fig08_singlecore", "ab12cd34", &config, &dir));
         for step in 0..12 {
-            decision(
-                7,
-                step,
-                (step % 3) as usize,
-                0.5 + step as f64 * 0.01,
-                0.9,
-                step % 2 == 0,
-            );
+            decision(7, step, (step % 3) as usize, 0.5 + step as f64 * 0.01, 0.9, step % 2 == 0);
         }
         epoch("mem", 3, 120_000, 1.25);
         arm_start(4, 123_456);

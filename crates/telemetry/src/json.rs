@@ -66,7 +66,11 @@ impl JsonValue {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             JsonValue::Int(v) => i64::try_from(*v).ok(),
-            JsonValue::Num(v) if v.fract() == 0.0 && v.abs() < 9.2e18 => Some(*v as i64),
+            JsonValue::Num(v)
+                if v.fract() == 0.0 && (i64::MIN as f64..i64::MAX as f64).contains(v) =>
+            {
+                Some(*v as i64)
+            }
             _ => None,
         }
     }
@@ -112,9 +116,9 @@ impl JsonValue {
     }
 }
 
-/// Deepest array/object nesting [`parse`] accepts. Every artifact the
-/// workspace writes nests at most three levels; the cap keeps a document
-/// like `[[[[…` from recursing until the stack overflows.
+/// Deepest array/object nesting [`parse`] accepts. The workspace's
+/// artifacts nest a few levels; the cap keeps a document like `[[[[…`
+/// from recursing until the stack overflows.
 pub const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document from `input` (trailing whitespace allowed).
