@@ -10,11 +10,12 @@
 //!   a power of two (the common case; the Fig. 11 alternate LLC with 1536
 //!   sets falls back to a modulo).
 //! - [`Mshr`] indexes in-flight lines with an open-addressed table
-//!   (multiplicative hashing, tombstone deletion) instead of a `HashMap`'s
+//!   ([`line_hash`], tombstone deletion) instead of a `HashMap`'s
 //!   SipHash, and keeps the earliest completion cycle cached so the
 //!   per-access drain is a single compare when nothing has landed.
 
 use crate::config::CacheParams;
+use crate::hash::line_hash;
 use crate::hotpath;
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
@@ -234,11 +235,26 @@ impl Cache {
     /// Fills `line`, evicting the LRU way if needed. Returns the eviction,
     /// if any. `prefetched` marks prefetcher-initiated fills.
     pub fn fill(&mut self, line: u64, prefetched: bool) -> Option<Evicted> {
-        self.fill_inner(line, prefetched).0
+        self.fill_inner(line, prefetched, false).0
     }
 
-    /// Fill plus the index of the way that now holds `line`.
-    fn fill_inner(&mut self, line: u64, prefetched: bool) -> (Option<Evicted>, usize) {
+    /// [`Cache::fill`] for a line the caller knows is absent: it has just
+    /// seen this cache miss on `line` and nothing has filled it since. The
+    /// chunked kernels then skip the present-check tag compare and only
+    /// pick the victim; the result is the same as [`Cache::fill`]'s.
+    pub fn fill_absent(&mut self, line: u64, prefetched: bool) -> Option<Evicted> {
+        debug_assert!(!self.contains(line), "fill_absent on a present line");
+        self.fill_inner(line, prefetched, true).0
+    }
+
+    /// Fill plus the index of the way that now holds `line`: the scan finds
+    /// the line or the victim way, and [`Cache::place`] installs it.
+    fn fill_inner(
+        &mut self,
+        line: u64,
+        prefetched: bool,
+        known_absent: bool,
+    ) -> (Option<Evicted>, usize) {
         // The chunked tag compare relies on `u64::MAX` marking exactly the
         // invalid ways; real lines (addr/64, plus a core id in bits 40+)
         // can never reach the sentinel.
@@ -248,30 +264,32 @@ impl Cache {
             "line index collides with the invalid-way sentinel"
         );
         self.clock += 1;
-        let clock = self.clock;
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
         let base = self.set_base(line);
-        let victim = if self.scalar {
-            match self.fill_scan_scalar(base, line) {
-                Ok(idx) => {
-                    // Already present (e.g. demand raced a prefetch):
-                    // refresh only.
-                    self.lru[idx] = clock;
-                    return (None, idx);
-                }
-                Err(victim) => victim,
-            }
+        let scan = if self.scalar {
+            // One pass finds a present line and the victim alike, so the
+            // reference kernel has no present-check to skip.
+            self.fill_scan_scalar(base, line)
+        } else if known_absent {
+            Err(self.victim_chunked(base))
         } else {
-            match self.fill_scan_chunked(base, line) {
-                Ok(idx) => {
-                    self.lru[idx] = clock;
-                    return (None, idx);
-                }
-                Err(victim) => victim,
-            }
+            self.fill_scan_chunked(base, line)
         };
+        match scan {
+            Ok(idx) => {
+                // Already present (e.g. demand raced a prefetch): refresh
+                // only.
+                self.lru[idx] = self.clock;
+                (None, idx)
+            }
+            Err(victim) => (self.place(victim, line, prefetched), victim),
+        }
+    }
+
+    /// Installs `line` in way `victim`, reporting the line it displaces.
+    fn place(&mut self, victim: usize, line: u64, prefetched: bool) -> Option<Evicted> {
         let evicted = if self.flags[victim] & FLAG_VALID != 0 {
             let unused_prefetch = self.flags[victim] & FLAG_PREFETCHED != 0;
             if unused_prefetch {
@@ -286,8 +304,8 @@ impl Cache {
         };
         self.tags[victim] = line;
         self.flags[victim] = FLAG_VALID | if prefetched { FLAG_PREFETCHED } else { 0 };
-        self.lru[victim] = clock;
-        (evicted, victim)
+        self.lru[victim] = self.clock;
+        evicted
     }
 
     /// Scalar reference fill scan: one pass finds a present line
@@ -317,18 +335,24 @@ impl Cache {
     }
 
     /// Chunked fill scan: the present-check reuses the masked whole-set tag
-    /// compare, then the LRU victim falls out of a branchless min-reduction
-    /// over per-way keys `lru * valid` — 0 for invalid ways, the stamp
-    /// (≥ 1) for valid ones, exactly the ranking the scalar scan applies.
-    /// Chunks are visited in way order and only a strictly smaller chunk
-    /// minimum displaces the running victim, so the first-minimum way wins
-    /// just as in the scalar pass.
+    /// compare, then [`Cache::victim_chunked`] picks the LRU victim.
     #[inline]
     fn fill_scan_chunked(&self, base: usize, line: u64) -> Result<usize, usize> {
         if let Some(idx) = self.find_chunked(line) {
             debug_assert!(self.flags[idx] & FLAG_VALID != 0);
             return Ok(idx);
         }
+        Err(self.victim_chunked(base))
+    }
+
+    /// Chunked LRU victim: a branchless min-reduction over per-way keys
+    /// `lru * valid` — 0 for invalid ways, the stamp (≥ 1) for valid ones,
+    /// exactly the ranking the scalar scan applies. Chunks are visited in
+    /// way order and only a strictly smaller chunk minimum displaces the
+    /// running victim, so the first-minimum way wins just as in the scalar
+    /// pass.
+    #[inline]
+    fn victim_chunked(&self, base: usize) -> usize {
         let flags = &self.flags[base..base + self.ways];
         let lru = &self.lru[base..base + self.ways];
         let mut victim = base;
@@ -369,7 +393,7 @@ impl Cache {
                 victim = base + offset + lane;
             }
         }
-        Err(victim)
+        victim
     }
 
     /// Fills `line` for a **late** prefetch: the demand access that is
@@ -378,7 +402,7 @@ impl Cache {
     /// and leaves the line's prefetched bit clear (a later eviction must
     /// not classify it as a wrong prefetch).
     pub fn fill_late_prefetch(&mut self, line: u64) -> Option<Evicted> {
-        let (evicted, idx) = self.fill_inner(line, true);
+        let (evicted, idx) = self.fill_inner(line, true, false);
         if self.flags[idx] & FLAG_PREFETCHED != 0 {
             self.flags[idx] &= !FLAG_PREFETCHED;
             self.stats.prefetch_used += 1;
@@ -443,7 +467,7 @@ const STATE_DEAD: u8 = 2;
 /// that a demand access arriving earlier can be classified as covered by a
 /// **late** prefetch (paper Fig. 9).
 ///
-/// Lines are indexed by an open-addressed table (multiplicative hashing,
+/// Lines are indexed by an open-addressed table ([`line_hash`],
 /// linear probing, tombstone deletion) rather than a `HashMap`: the MSHR is
 /// probed on every L2 access and `SipHash` dominated the lookup cost. The
 /// table is stored structure-of-arrays (states, lines, readys, L1 bits in
@@ -535,9 +559,7 @@ impl Mshr {
 
     #[inline]
     fn bucket(&self, line: u64) -> usize {
-        // Multiplicative (Fibonacci) hashing: the golden-ratio multiply
-        // mixes low line bits into the high bits we index with.
-        ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & self.mask
+        line_hash(line) as usize & self.mask
     }
 
     /// Probes for `line`: the index of its live slot if present, and the
@@ -968,7 +990,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Every cache observable — lookup results, evictions,
-            /// residency, stats — is identical across kernel modes for
+            /// residency, stats — is identical across kernel modes, and a
+            /// known-absent fill matches a plain one, for
             /// arbitrary geometries (ways crossing the chunk width) and
             /// access mixes dense enough to force constant set conflict.
             #[test]
@@ -988,11 +1011,20 @@ mod tests {
                 let lines = u64::from(ways * 4) << sets_pow;
                 for _ in 0..ops {
                     let line = rng.gen_range(0..lines);
-                    match rng.gen_range(0..4) {
+                    match rng.gen_range(0..5) {
                         0 => prop_assert_eq!(
                             scalar.demand_lookup(line),
                             chunked.demand_lookup(line)
                         ),
+                        // Known-absent fill: the chunked kernel skips the
+                        // present-check, the reference runs a plain fill.
+                        4 if !scalar.contains(line) => {
+                            let prefetched = rng.gen();
+                            prop_assert_eq!(
+                                scalar.fill(line, prefetched),
+                                chunked.fill_absent(line, prefetched)
+                            );
+                        }
                         1 => {
                             let prefetched = rng.gen();
                             prop_assert_eq!(

@@ -5,6 +5,8 @@
 //! - [`cache`] — set-associative caches with LRU replacement, MSHR merging
 //!   and per-line prefetch bookkeeping (timely/late/wrong classification,
 //!   paper Fig. 9),
+//! - [`hash`] — the one line hash, shared by the MSHR table and the
+//!   prefetchers' tables,
 //! - [`dram`] — a bandwidth-constrained DRAM model whose throughput is set
 //!   in megatransfers per second, enabling the Fig. 10 bandwidth sweep,
 //! - [`core`] — an interval-style out-of-order core timing model (ROB
@@ -33,10 +35,12 @@ pub mod cache;
 pub mod config;
 pub mod core;
 pub mod dram;
+pub mod hash;
 pub mod hotpath;
 pub mod prefetcher;
 pub mod system;
 
 pub use config::{CacheParams, CoreParams, SystemConfig};
+pub use hash::{line_hash, LineHashBuilder};
 pub use prefetcher::{L2Access, NoPrefetcher, PrefetchQueue, Prefetcher};
 pub use system::{RunStats, System};

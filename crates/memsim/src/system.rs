@@ -139,8 +139,9 @@ struct CoreCtx {
     /// paths read `prefetch_train:bandit` rather than just the category.
     pf_label: u32,
     l1_pf_label: u32,
-    /// A real L1 prefetcher was installed (the default [`NoPrefetcher`]
-    /// keeps the per-access L1 train call span-free).
+    /// A real L1 prefetcher was installed. Without one the per-access L1
+    /// train and issue are skipped: the default [`NoPrefetcher`] does
+    /// nothing.
     has_l1_pf: bool,
     queue: PrefetchQueue,
     l1_queue: PrefetchQueue,
@@ -570,31 +571,32 @@ impl System {
             hit: l1_hit,
             cycle: t,
         });
-        // The L1 prefetcher trains on every demand access.
-        let l1_access = L2Access {
-            pc,
-            line,
-            hit: l1_hit,
-            cycle: t,
-            instructions: ctx.core.instructions(),
-            kind,
-        };
-        if mab_telemetry::STATIC_ENABLED && ctx.has_l1_pf {
-            // Only span the L1 train when a real L1 prefetcher is installed:
-            // this call sits on the every-access fast path, and the default
-            // NoPrefetcher would pay span cost for a no-op.
-            let _train_span = enter_sampled(
-                Category::PrefetchTrain,
-                ctx.l1_pf_label,
-                &mut ctx.pending.l1_train,
-                profiling,
-                armed,
-            );
-            ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
-        } else {
-            ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
+        // An installed L1 prefetcher trains on every demand access. Without
+        // one, the default NoPrefetcher would cost a virtual call and an
+        // empty-queue check here for nothing.
+        if ctx.has_l1_pf {
+            let l1_access = L2Access {
+                pc,
+                line,
+                hit: l1_hit,
+                cycle: t,
+                instructions: ctx.core.instructions(),
+                kind,
+            };
+            if mab_telemetry::STATIC_ENABLED {
+                let _train_span = enter_sampled(
+                    Category::PrefetchTrain,
+                    ctx.l1_pf_label,
+                    &mut ctx.pending.l1_train,
+                    profiling,
+                    armed,
+                );
+                ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
+            } else {
+                ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
+            }
+            self.issue_l1_prefetches(i, t, profiling, armed);
         }
-        self.issue_l1_prefetches(i, t, profiling, armed);
         if l1_hit {
             return l1_lat;
         }
@@ -747,7 +749,7 @@ impl System {
                                 self.dram.access(start + llc_lat as u64)
                             };
                             self.probe.bump(Stat::LlcFill);
-                            self.llc.fill(line, false);
+                            self.llc.fill_absent(line, false);
                             llc_lat + dram_lat as u32
                         }
                     };
@@ -757,7 +759,7 @@ impl System {
                     ctx.demand_inflight
                         .push(std::cmp::Reverse(start + path as u64));
                     self.probe.bump(Stat::L2Fill);
-                    if let Some(ev) = ctx.l2.fill(line, false) {
+                    if let Some(ev) = ctx.l2.fill_absent(line, false) {
                         if ev.unused_prefetch {
                             ctx.pf.wrong += 1;
                             self.probe.bump(Stat::PrefetchWrong);
@@ -843,7 +845,7 @@ impl System {
                 self.probe.bump(Stat::DramAccess);
                 let dram_lat = self.dram.access(t + llc_lat as u64);
                 self.probe.bump(Stat::LlcFill);
-                self.llc.fill(line, false);
+                self.llc.fill_absent(line, false);
                 llc_lat as u64 + dram_lat
             };
             ctx.mshr.insert(line, t + fill_latency, true);
@@ -894,7 +896,7 @@ impl System {
                 self.probe.bump(Stat::DramAccess);
                 let dram_lat = self.dram.access(t + llc_lat as u64);
                 self.probe.bump(Stat::LlcFill);
-                self.llc.fill(line, false);
+                self.llc.fill_absent(line, false);
                 llc_lat as u64 + dram_lat
             };
             ctx.mshr.insert(line, t + fill_latency, false);

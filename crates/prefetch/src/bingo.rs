@@ -7,7 +7,7 @@
 //! with the same signature, the whole recorded footprint is prefetched at
 //! once.
 
-use mab_memsim::{L2Access, PrefetchQueue, Prefetcher};
+use mab_memsim::{L2Access, LineHashBuilder, PrefetchQueue, Prefetcher};
 use std::collections::{HashMap, VecDeque};
 
 /// Lines per region (2 KB regions as in the Bingo paper).
@@ -50,9 +50,9 @@ struct HistoryEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Bingo {
-    accumulating: HashMap<u64, Generation>,
+    accumulating: HashMap<u64, Generation, LineHashBuilder>,
     accum_order: VecDeque<u64>,
-    history: HashMap<u64, HistoryEntry>,
+    history: HashMap<u64, HistoryEntry, LineHashBuilder>,
     history_order: VecDeque<u64>,
 }
 
@@ -107,6 +107,28 @@ impl Bingo {
     }
 }
 
+/// Pushes up to [`REPLAY_CAP`] lines of `footprint` (bit `b` ↔ line
+/// `base + b`) other than the trigger line `base + offset`, nearest to the
+/// trigger first and, at equal distance, the lower line first.
+fn replay(base: u64, offset: u64, footprint: u32, queue: &mut PrefetchQueue) {
+    let mut left = footprint & !(1 << offset);
+    let mut budget = REPLAY_CAP;
+    for distance in 1..REGION_LINES {
+        // Below the trigger first; `wrapping_sub` below line 0 of the region
+        // gives an out-of-range bit, which is skipped.
+        for bit in [offset.wrapping_sub(distance), offset + distance] {
+            if left == 0 || budget == 0 {
+                return;
+            }
+            if bit < REGION_LINES && left & (1 << bit) != 0 {
+                queue.push(base + bit);
+                left &= !(1 << bit);
+                budget -= 1;
+            }
+        }
+    }
+}
+
 impl Prefetcher for Bingo {
     fn name(&self) -> &str {
         "bingo"
@@ -127,14 +149,7 @@ impl Prefetcher for Bingo {
         let sig = Bingo::signature(access.pc, offset);
         if let Some(&entry) = self.history.get(&sig) {
             if entry.confidence >= 2 {
-                let base = region * REGION_LINES;
-                let mut lines: Vec<u64> = (0..REGION_LINES)
-                    .filter(|&bit| bit != offset && entry.footprint & (1 << bit) != 0)
-                    .collect();
-                lines.sort_by_key(|&bit| bit.abs_diff(offset));
-                for bit in lines.into_iter().take(REPLAY_CAP) {
-                    queue.push(base + bit);
-                }
+                replay(region * REGION_LINES, offset, entry.footprint, queue);
             }
         }
 

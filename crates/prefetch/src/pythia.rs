@@ -10,9 +10,10 @@
 //! The action space matches the paper's description of Pythia: 16 offsets ×
 //! 4 degrees = 64 actions (one offset is "no prefetch").
 
-use mab_memsim::{L2Access, PrefetchQueue, Prefetcher};
+use mab_memsim::{L2Access, LineHashBuilder, PrefetchQueue, Prefetcher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// The 16 prefetch offsets (0 = no prefetch).
@@ -78,7 +79,7 @@ pub struct Pythia {
     deltas: [i64; 3],
     last: Option<StateAction>,
     /// Outstanding prefetched lines awaiting an outcome.
-    tracked: HashMap<u64, StateAction>,
+    tracked: HashMap<u64, StateAction, LineHashBuilder>,
     tracked_order: VecDeque<u64>,
     action_counts: Vec<u64>,
 }
@@ -101,7 +102,7 @@ impl Pythia {
             last_line_per_pc: Box::new([(0, 0); 64]),
             deltas: [0; 3],
             last: None,
-            tracked: HashMap::new(),
+            tracked: HashMap::default(),
             tracked_order: VecDeque::new(),
             action_counts: vec![0; ACTIONS],
         }
@@ -181,10 +182,10 @@ impl Pythia {
     }
 
     fn track(&mut self, line: u64, sa: StateAction) {
-        if self.tracked.contains_key(&line) {
+        let Entry::Vacant(slot) = self.tracked.entry(line) else {
             return;
-        }
-        self.tracked.insert(line, sa);
+        };
+        slot.insert(sa);
         self.tracked_order.push_back(line);
         while self.tracked.len() > TRACK_CAPACITY {
             if let Some(old) = self.tracked_order.pop_front() {
