@@ -1,48 +1,24 @@
-//! Parallel sweep engine + hot-loop benchmark.
+//! Parallel sweep engine scaling benchmark (`BENCH_parallel_sweep.json` at
+//! the repo root).
 //!
-//! Two questions, one artifact (`BENCH_parallel_sweep.json` at the repo
-//! root):
-//!
-//! 1. **Sweep scaling** — an 8-run bandit-prefetcher sweep dispatched
-//!    through `mab_runner::sweep` serially and at `--jobs` 2/4/8. The ≥3×
-//!    speedup target at jobs=4 is only meaningful on a machine that has 4
-//!    cores to give; the artifact records `host_parallelism` and applies the
-//!    gate only when it is ≥ 4, so a single-core CI box reports its honest
-//!    (≈1×) scaling without failing the build.
-//! 2. **Hot-loop speedup** — single-run memsim and smtsim times on the same
-//!    workloads as the `simulators` bench, compared against the numbers
-//!    recorded on this development host immediately *before* the
-//!    set-lookup/MSHR/pipeline/bandit-select optimization pass. The
-//!    baselines are machine-specific: on any other host the before/after
-//!    comparison is indicative only, so it is reported (with a pass flag in
-//!    the artifact) but never turned into an exit code.
+//! An 8-run bandit-prefetcher sweep dispatched through `mab_runner::sweep`
+//! serially and at `--jobs` 2/4/8. The ≥3× speedup target at jobs=4 is only
+//! meaningful on a machine that has 4 cores to give; the artifact records
+//! `host_parallelism` and applies the gate only when it is ≥ 4, so a
+//! smaller host reports its honest scaling without failing the build.
 //!
 //! Run with: `cargo bench -p mab-bench --bench parallel_sweep`
 
 use criterion::{black_box, Criterion};
 use mab_memsim::{config::SystemConfig, System};
 use mab_prefetch::catalog;
-use mab_smtsim::{config::SmtParams, controllers::ChoiController, pipeline::SmtPipeline};
-use mab_workloads::{smt, suites};
+use mab_workloads::suites;
 
 /// Runs per sweep; enough work to amortize worker startup, small enough
 /// that the bench stays in seconds.
 const SWEEP_RUNS: u64 = 8;
 /// Instructions per sweep run.
 const SWEEP_INSTRUCTIONS: u64 = 40_000;
-/// Instructions for the single-run memsim measurements (matches the
-/// `simulators` bench).
-const MEMSIM_INSTRUCTIONS: u64 = 100_000;
-/// Commits per thread for the single-run smtsim measurement (matches the
-/// `simulators` bench).
-const SMT_COMMITS: u64 = 20_000;
-
-/// Single-run times recorded on the development host at the commit before
-/// the hot-loop optimization pass, same workloads as below (ns/iter,
-/// median-of-samples). Machine-specific — see the module docs.
-const BASELINE_MEMSIM_NONE_NS: f64 = 5_844_085.3;
-const BASELINE_MEMSIM_BANDIT_NS: f64 = 7_673_433.1;
-const BASELINE_SMTSIM_CHOI_NS: f64 = 18_582_653.0;
 
 /// The workload behind the scaling measurement: one short bandit-prefetcher
 /// run per spec, seeded from the spec itself so any schedule produces the
@@ -65,27 +41,6 @@ fn sweep_batch(jobs: usize) -> f64 {
     ipcs.iter().sum()
 }
 
-fn memsim_single(prefetcher: &str) -> f64 {
-    let app = suites::app_by_name("milc").expect("catalog app");
-    let mut system = System::single_core(SystemConfig::default());
-    system.set_prefetcher(0, catalog::build_l2(prefetcher, 1));
-    system.run(&mut app.trace(1), MEMSIM_INSTRUCTIONS).ipc()
-}
-
-fn smtsim_single() -> f64 {
-    let specs = [
-        smt::thread_by_name("gcc").expect("catalog thread"),
-        smt::thread_by_name("xz").expect("catalog thread"),
-    ];
-    let mut pipe = SmtPipeline::new(SmtParams::test_scale(), specs, 1);
-    pipe.run(Box::new(ChoiController::new()), SMT_COMMITS)
-        .sum_ipc()
-}
-
-fn speedup_pct(before: f64, after: f64) -> f64 {
-    (before - after) / before * 100.0
-}
-
 fn main() {
     let mut c = Criterion::default();
     let host_parallelism = mab_runner::available_jobs();
@@ -95,15 +50,6 @@ fn main() {
             b.iter(|| black_box(sweep_batch(jobs)))
         });
     }
-    c.bench_function("single/memsim_none", |b| {
-        b.iter(|| black_box(memsim_single("none")))
-    });
-    c.bench_function("single/memsim_bandit", |b| {
-        b.iter(|| black_box(memsim_single("bandit")))
-    });
-    c.bench_function("single/smtsim_choi", |b| {
-        b.iter(|| black_box(smtsim_single()))
-    });
 
     let ns = |id: &str| c.result_ns(id).expect("bench result");
     let serial = ns("sweep/jobs1");
@@ -115,25 +61,12 @@ fn main() {
     let gate_applicable = host_parallelism >= 4;
     let parallel_pass = !gate_applicable || speedup_j4 >= 3.0;
 
-    let memsim_none = ns("single/memsim_none");
-    let memsim_bandit = ns("single/memsim_bandit");
-    let smtsim_choi = ns("single/smtsim_choi");
-    let memsim_none_pct = speedup_pct(BASELINE_MEMSIM_NONE_NS, memsim_none);
-    let memsim_bandit_pct = speedup_pct(BASELINE_MEMSIM_BANDIT_NS, memsim_bandit);
-    let smtsim_pct = speedup_pct(BASELINE_SMTSIM_CHOI_NS, smtsim_choi);
-    let hot_loop_pass = memsim_none_pct >= 10.0 || memsim_bandit_pct >= 10.0 || smtsim_pct >= 10.0;
-
     println!();
     println!("host parallelism: {host_parallelism} (jobs=4 gate applicable: {gate_applicable})");
     println!("sweep serial      {serial:>14.1} ns/iter");
     for (j, t) in &parallel {
         println!("sweep jobs={j}      {t:>14.1} ns/iter ({:.2}x)", serial / t);
     }
-    println!("memsim none       {memsim_none:>14.1} ns/iter ({memsim_none_pct:+.1}% vs recorded baseline)");
-    println!("memsim bandit     {memsim_bandit:>14.1} ns/iter ({memsim_bandit_pct:+.1}% vs recorded baseline)");
-    println!(
-        "smtsim choi       {smtsim_choi:>14.1} ns/iter ({smtsim_pct:+.1}% vs recorded baseline)"
-    );
 
     write_report(
         host_parallelism,
@@ -142,10 +75,6 @@ fn main() {
         &parallel,
         speedup_j4,
         parallel_pass,
-        (memsim_none, memsim_none_pct),
-        (memsim_bandit, memsim_bandit_pct),
-        (smtsim_choi, smtsim_pct),
-        hot_loop_pass,
     );
 
     if parallel_pass {
@@ -163,7 +92,6 @@ fn main() {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_report(
     host_parallelism: usize,
     gate_applicable: bool,
@@ -171,10 +99,6 @@ fn write_report(
     parallel: &[(usize, f64)],
     speedup_j4: f64,
     parallel_pass: bool,
-    memsim_none: (f64, f64),
-    memsim_bandit: (f64, f64),
-    smtsim: (f64, f64),
-    hot_loop_pass: bool,
 ) {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -196,19 +120,7 @@ fn write_report(
         "  \"jobs4_speedup_gate\": 3.0,\n  \
          \"jobs4_gate_applicable\": {gate_applicable},\n  \
          \"jobs4_speedup\": {speedup_j4:.3},\n  \
-         \"jobs4_pass\": {parallel_pass},\n  \
-         \"memsim_none_baseline_ns\": {BASELINE_MEMSIM_NONE_NS:.1},\n  \
-         \"memsim_none_ns\": {:.1},\n  \
-         \"memsim_none_speedup_pct\": {:.2},\n  \
-         \"memsim_bandit_baseline_ns\": {BASELINE_MEMSIM_BANDIT_NS:.1},\n  \
-         \"memsim_bandit_ns\": {:.1},\n  \
-         \"memsim_bandit_speedup_pct\": {:.2},\n  \
-         \"smtsim_choi_baseline_ns\": {BASELINE_SMTSIM_CHOI_NS:.1},\n  \
-         \"smtsim_choi_ns\": {:.1},\n  \
-         \"smtsim_choi_speedup_pct\": {:.2},\n  \
-         \"hot_loop_gate_pct\": 10.0,\n  \
-         \"hot_loop_pass\": {hot_loop_pass}\n}}\n",
-        memsim_none.0, memsim_none.1, memsim_bandit.0, memsim_bandit.1, smtsim.0, smtsim.1,
+         \"jobs4_pass\": {parallel_pass}\n}}\n"
     ));
     match std::fs::write(path, json) {
         Ok(()) => println!("wrote {path}"),

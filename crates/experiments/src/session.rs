@@ -232,7 +232,6 @@ impl LedgerCapture {
         // Host circumstance: lets cross-host trend/regress comparisons
         // attribute wall-time differences. Never digested.
         record.cpus = mab_telemetry::blackbox::cpus() as u64;
-        record.kernel_mode = Some(mab_telemetry::blackbox::kernel_mode().to_string());
         record.host = Some(mab_telemetry::blackbox::hostname());
         let mut artifact = |kind: &str, path: &Option<PathBuf>| {
             if let Some(path) = path {
@@ -416,7 +415,6 @@ mod tests {
         assert_eq!(record.code, code_version());
         // Host circumstance is recorded but never digested.
         assert!(record.cpus >= 1);
-        assert!(matches!(record.kernel_mode.as_deref(), Some("simd" | "scalar")));
         assert!(record.host.as_deref().is_some_and(|h| !h.is_empty()));
 
         // A second identical session in the same process dedups (unless the

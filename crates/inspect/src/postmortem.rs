@@ -93,13 +93,8 @@ pub fn render_postmortem(report: &CrashReport) -> String {
     out.push_str(&format!("  time:     {} (unix)\n", report.time_unix));
     if report.cpus > 0 || !report.hostname.is_empty() {
         out.push_str(&format!(
-            "  host:     {} cpus, {} kernels, {}\n",
+            "  host:     {} cpus, {}\n",
             report.cpus,
-            if report.kernel_mode.is_empty() {
-                "?"
-            } else {
-                &report.kernel_mode
-            },
             if report.hostname.is_empty() {
                 "?"
             } else {
@@ -217,9 +212,8 @@ pub fn postmortem_json(report: &CrashReport) -> String {
     }
     out.push_str("},");
     out.push_str(&format!(
-        "\"host\":{{\"cpus\":{},\"kernel_mode\":\"{}\",\"hostname\":\"{}\"}},",
+        "\"host\":{{\"cpus\":{},\"hostname\":\"{}\"}},",
         report.cpus,
-        escape(&report.kernel_mode),
         escape(&report.hostname)
     ));
     match report.sweep {
@@ -307,7 +301,6 @@ mod tests {
             digest: "deadbeef".to_string(),
             config: vec![("quick".to_string(), "true".to_string())],
             cpus: 8,
-            kernel_mode: "simd".to_string(),
             hostname: "ci-runner".to_string(),
             sweep: Some((3, 12, true)),
             arm: Some((3, 42)),
@@ -344,7 +337,7 @@ mod tests {
         assert!(text.contains("crash postmortem — fig08_singlecore (digest deadbeef)"));
         assert!(text.contains("cause:    panic"));
         assert!(text.contains("message:  injected test panic"));
-        assert!(text.contains("8 cpus, simd kernels, ci-runner"));
+        assert!(text.contains("8 cpus, ci-runner"));
         assert!(text.contains("sweep:    3/12 arms done (sweep active)"));
         assert!(text.contains("arm:      index 3, seed 42"));
         assert!(text.contains("quick = true"));
@@ -370,7 +363,10 @@ mod tests {
     fn json_output_parses_and_round_trips_key_fields() {
         let doc = postmortem_json(&sample_report());
         let value = json::parse(&doc).expect("postmortem --json must be valid JSON");
-        assert_eq!(value.get("cause").and_then(JsonValue::as_str), Some("panic"));
+        assert_eq!(
+            value.get("cause").and_then(JsonValue::as_str),
+            Some("panic")
+        );
         assert_eq!(
             value
                 .get("arm")
@@ -378,10 +374,16 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(3)
         );
-        let decisions = value.get("last_decisions").and_then(JsonValue::as_arr).unwrap();
+        let decisions = value
+            .get("last_decisions")
+            .and_then(JsonValue::as_arr)
+            .unwrap();
         assert_eq!(decisions.len(), 8);
         let threads = value.get("threads").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(threads.len(), 2);
-        assert_eq!(threads[1].get("dropped").and_then(JsonValue::as_u64), Some(5));
+        assert_eq!(
+            threads[1].get("dropped").and_then(JsonValue::as_u64),
+            Some(5)
+        );
     }
 }

@@ -16,9 +16,7 @@
 
 use crate::config::CacheParams;
 use crate::hash::line_hash;
-use crate::hotpath;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// Lane count for the chunked (SIMD-shaped) way scans. Eight `u64` tags are
 /// one 64-byte chunk — exactly the L1/L2 associativity, half the LLC's — so
@@ -102,9 +100,6 @@ pub struct Cache {
     lru: Vec<u64>,
     clock: u64,
     stats: CacheStats,
-    /// Use the scalar reference kernels instead of the chunked ones.
-    /// Latched from [`hotpath::scalar_kernels`] at construction.
-    scalar: bool,
 }
 
 impl Cache {
@@ -124,7 +119,6 @@ impl Cache {
             lru: vec![0; lines],
             clock: 0,
             stats: CacheStats::default(),
-            scalar: hotpath::scalar_kernels(),
         }
     }
 
@@ -154,34 +148,14 @@ impl Cache {
     }
 
     /// Index of the way holding `line`, if present and valid.
+    ///
+    /// A chunked whole-set tag compare: every [`WAY_CHUNK`] tags are
+    /// compared as one branchless masked chunk, and the first set bit of the
+    /// mask is the first matching way — the way a per-way early-exit scan
+    /// lands on, because a valid line appears in at most one way and invalid
+    /// ways carry the `u64::MAX` sentinel no real line equals.
     #[inline]
     fn find(&self, line: u64) -> Option<usize> {
-        if self.scalar {
-            self.find_scalar(line)
-        } else {
-            self.find_chunked(line)
-        }
-    }
-
-    /// Scalar reference tag scan: first tag match, confirmed valid. Kept as
-    /// the differential baseline for [`Cache::find_chunked`].
-    #[inline]
-    fn find_scalar(&self, line: u64) -> Option<usize> {
-        let base = self.set_base(line);
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&tag| tag == line)
-            .map(|way| base + way)
-            .filter(|&idx| self.flags[idx] & FLAG_VALID != 0)
-    }
-
-    /// Chunked whole-set tag compare: every [`WAY_CHUNK`] tags are compared
-    /// as one branchless masked chunk, and the first set bit of the mask is
-    /// the first matching way — the same way the scalar early-exit scan
-    /// lands on, because a valid line appears in at most one way and
-    /// invalid ways carry the `u64::MAX` sentinel no real line equals.
-    #[inline]
-    fn find_chunked(&self, line: u64) -> Option<usize> {
         let base = self.set_base(line);
         let tags = &self.tags[base..base + self.ways];
         let mut chunks = tags.chunks_exact(WAY_CHUNK);
@@ -198,7 +172,7 @@ impl Cache {
             }
             offset += WAY_CHUNK;
         }
-        // Sub-chunk associativities (test-sized caches) finish scalar.
+        // Sub-chunk associativities (test-sized caches) finish way by way.
         chunks
             .remainder()
             .iter()
@@ -240,8 +214,8 @@ impl Cache {
 
     /// [`Cache::fill`] for a line the caller knows is absent: it has just
     /// seen this cache miss on `line` and nothing has filled it since. The
-    /// chunked kernels then skip the present-check tag compare and only
-    /// pick the victim; the result is the same as [`Cache::fill`]'s.
+    /// fill then skips the present-check tag compare and only picks the
+    /// victim; the result is the same as [`Cache::fill`]'s.
     pub fn fill_absent(&mut self, line: u64, prefetched: bool) -> Option<Evicted> {
         debug_assert!(!self.contains(line), "fill_absent on a present line");
         self.fill_inner(line, prefetched, true).0
@@ -267,24 +241,18 @@ impl Cache {
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
-        let base = self.set_base(line);
-        let scan = if self.scalar {
-            // One pass finds a present line and the victim alike, so the
-            // reference kernel has no present-check to skip.
-            self.fill_scan_scalar(base, line)
-        } else if known_absent {
-            Err(self.victim_chunked(base))
-        } else {
-            self.fill_scan_chunked(base, line)
-        };
-        match scan {
-            Ok(idx) => {
+        let present = if known_absent { None } else { self.find(line) };
+        match present {
+            Some(idx) => {
                 // Already present (e.g. demand raced a prefetch): refresh
                 // only.
                 self.lru[idx] = self.clock;
                 (None, idx)
             }
-            Err(victim) => (self.place(victim, line, prefetched), victim),
+            None => {
+                let victim = self.victim(self.set_base(line));
+                (self.place(victim, line, prefetched), victim)
+            }
         }
     }
 
@@ -308,51 +276,13 @@ impl Cache {
         evicted
     }
 
-    /// Scalar reference fill scan: one pass finds a present line
-    /// (`Ok(idx)`) or the LRU victim (`Err(idx)`). An invalid way ranks as
-    /// stamp 0 (valid stamps are ≥ 1), first-minimum wins — the same
-    /// victim a `min_by_key` over the ways would pick.
+    /// LRU victim of the set at `base`: a chunked, branchless min-reduction
+    /// over per-way keys `lru * valid` — 0 for invalid ways (valid stamps
+    /// are ≥ 1), the stamp for valid ones. Chunks are visited in way order
+    /// and only a strictly smaller chunk minimum displaces the running
+    /// victim, so the first minimum wins, as in a per-way scan.
     #[inline]
-    fn fill_scan_scalar(&self, base: usize, line: u64) -> Result<usize, usize> {
-        let mut victim = base;
-        let mut victim_key = u64::MAX;
-        for idx in base..base + self.ways {
-            let flags = self.flags[idx];
-            if flags & FLAG_VALID != 0 {
-                if self.tags[idx] == line {
-                    return Ok(idx);
-                }
-                if self.lru[idx] < victim_key {
-                    victim_key = self.lru[idx];
-                    victim = idx;
-                }
-            } else if victim_key > 0 {
-                victim_key = 0;
-                victim = idx;
-            }
-        }
-        Err(victim)
-    }
-
-    /// Chunked fill scan: the present-check reuses the masked whole-set tag
-    /// compare, then [`Cache::victim_chunked`] picks the LRU victim.
-    #[inline]
-    fn fill_scan_chunked(&self, base: usize, line: u64) -> Result<usize, usize> {
-        if let Some(idx) = self.find_chunked(line) {
-            debug_assert!(self.flags[idx] & FLAG_VALID != 0);
-            return Ok(idx);
-        }
-        Err(self.victim_chunked(base))
-    }
-
-    /// Chunked LRU victim: a branchless min-reduction over per-way keys
-    /// `lru * valid` — 0 for invalid ways, the stamp (≥ 1) for valid ones,
-    /// exactly the ranking the scalar scan applies. Chunks are visited in
-    /// way order and only a strictly smaller chunk minimum displaces the
-    /// running victim, so the first-minimum way wins just as in the scalar
-    /// pass.
-    #[inline]
-    fn victim_chunked(&self, base: usize) -> usize {
+    fn victim(&self, base: usize) -> usize {
         let flags = &self.flags[base..base + self.ways];
         let lru = &self.lru[base..base + self.ways];
         let mut victim = base;
@@ -429,30 +359,8 @@ pub struct Inflight {
     pub fill_l1: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapEntry {
-    ready: u64,
-    line: u64,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by readiness.
-        other
-            .ready
-            .cmp(&self.ready)
-            .then(other.line.cmp(&self.line))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Slot states for the open-addressed MSHR table, kept as raw bytes in a
-/// structure-of-arrays layout so the chunked ready-sweep can compare a
+/// structure-of-arrays layout so the drain sweep can compare a
 /// whole chunk of states at once.
 const STATE_EMPTY: u8 = 0;
 const STATE_LIVE: u8 = 1;
@@ -471,23 +379,15 @@ const STATE_DEAD: u8 = 2;
 /// linear probing, tombstone deletion) rather than a `HashMap`: the MSHR is
 /// probed on every L2 access and `SipHash` dominated the lookup cost. The
 /// table is stored structure-of-arrays (states, lines, readys, L1 bits in
-/// parallel vectors) so the chunked drain can gather completion masks over
-/// whole chunks.
+/// parallel vectors) so the drain can gather completion masks over whole
+/// chunks.
 ///
-/// Completion ordering is mode-dependent but bit-identical:
-///
-/// - **scalar** (reference): a min-heap whose entries carry the `ready`
-///   stamp they were posted with; an entry is stale — the line was removed
-///   or re-posted since — exactly when its stamp no longer matches the
-///   table, so drains skip it without any eager heap surgery.
-/// - **chunked**: no heap at all. A drain sweeps the whole table in
-///   [`MSHR_CHUNK`]-slot chunks, gathers the completed entries and the
-///   earliest still-pending stamp in one pass, and sorts the completions by
-///   `(ready, line)` — the exact pop order of the heap, with staleness
-///   impossible because the table itself is the only source of truth.
-///
-/// Either way, `earliest` caches a lower bound on the next completion so
-/// the common "nothing landed yet" drain is a single compare.
+/// There is no completion queue: a drain sweeps the whole table in
+/// [`MSHR_CHUNK`]-slot chunks, gathers the completed entries and the
+/// earliest still-pending stamp in one pass, and sorts the completions by
+/// `(ready, line)`, so the table is the only source of truth. `earliest`
+/// caches a lower bound on the next completion, which makes the common
+/// "nothing landed yet" drain a single compare.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     /// [`STATE_EMPTY`] / [`STATE_LIVE`] / [`STATE_DEAD`] per slot.
@@ -505,16 +405,12 @@ pub struct Mshr {
     /// Live entries plus tombstones (bounds probe-chain length; reset by
     /// rehashing).
     used: usize,
-    /// Completion order for the scalar mode; unused (empty) when chunked.
-    order: BinaryHeap<HeapEntry>,
     /// Lower bound on the earliest in-flight completion, `u64::MAX` when
-    /// none are in flight. Exact in scalar mode; in chunked mode a removal
-    /// can leave it low, which only costs one empty sweep.
+    /// none are in flight. A removal can leave it low, which only costs one
+    /// empty sweep.
     earliest: u64,
-    /// Reused `(ready, line, fill_l1)` buffer for the chunked drain sort.
+    /// Reused `(ready, line, fill_l1)` buffer for the drain sort.
     sweep: Vec<(u64, u64, bool)>,
-    /// Use the scalar reference kernels; latched at construction.
-    scalar: bool,
 }
 
 impl Default for Mshr {
@@ -523,7 +419,7 @@ impl Default for Mshr {
     }
 }
 
-/// Lane count for the chunked MSHR sweep; the table size is a power of two
+/// Lane count for the MSHR drain sweep; the table size is a power of two
 /// ≥ 64, so every sweep divides into exact chunks.
 const MSHR_CHUNK: usize = 8;
 
@@ -540,10 +436,8 @@ impl Mshr {
             mask: Self::INITIAL_SLOTS - 1,
             live: 0,
             used: 0,
-            order: BinaryHeap::new(),
             earliest: u64::MAX,
             sweep: Vec::new(),
-            scalar: hotpath::scalar_kernels(),
         }
     }
 
@@ -614,7 +508,7 @@ impl Mshr {
         // chains stay short. Grow only when the *live* count needs the
         // room; when tombstones from drained completions drive the load,
         // rehash in place to reclaim them — otherwise steady
-        // insert/complete churn doubles the table forever, and the chunked
+        // insert/complete churn doubles the table forever, and the
         // drain's whole-table sweep pays for every doubling.
         if (self.used + 1) * 4 > self.states.len() * 3 {
             let new_len = if (self.live + 1) * 4 > self.states.len() * 3 {
@@ -636,9 +530,6 @@ impl Mshr {
         self.readys[insert_at] = ready;
         self.fill_l1s[insert_at] = u8::from(fill_l1);
         self.live += 1;
-        if self.scalar {
-            self.order.push(HeapEntry { ready, line });
-        }
         self.earliest = self.earliest.min(ready);
         true
     }
@@ -649,9 +540,7 @@ impl Mshr {
             self.states[idx] = STATE_DEAD;
             self.live -= 1;
         }
-        // Scalar: the heap entry becomes stale and is skipped on drain.
-        // Either mode: `earliest` may now read low, which only costs a
-        // harmless extra heap peek (scalar) or empty table sweep (chunked).
+        // `earliest` may now read low, which only costs one empty sweep.
     }
 
     /// Pops every prefetch that has completed by `now`, returning
@@ -671,40 +560,10 @@ impl Mshr {
         if now < self.earliest {
             return;
         }
-        if self.scalar {
-            self.drain_scalar(now, done);
-        } else {
-            self.drain_chunked(now, done);
-        }
-    }
-
-    /// Scalar reference drain: pop the heap in `(ready, line)` order,
-    /// skipping stale entries whose MSHR was removed or re-posted (the
-    /// posted `ready` stamp no longer matches the live slot).
-    fn drain_scalar(&mut self, now: u64, done: &mut Vec<(u64, bool)>) {
-        while let Some(&HeapEntry { ready, line }) = self.order.peek() {
-            if ready > now {
-                break;
-            }
-            self.order.pop();
-            if let (Some(idx), _) = self.probe(line) {
-                if self.readys[idx] == ready {
-                    let fill_l1 = self.fill_l1s[idx] != 0;
-                    self.states[idx] = STATE_DEAD;
-                    self.live -= 1;
-                    done.push((line, fill_l1));
-                }
-            }
-        }
-        self.earliest = self.order.peek().map_or(u64::MAX, |entry| entry.ready);
-    }
-
-    /// Chunked drain: one sweep over the whole table gathers, per
-    /// [`MSHR_CHUNK`]-slot chunk, a branchless completion mask and the
-    /// minimum still-pending stamp. Completions are then sorted by
-    /// `(ready, line)` — live lines are unique, so this is exactly the
-    /// scalar heap's pop order — and `earliest` comes out exact.
-    fn drain_chunked(&mut self, now: u64, done: &mut Vec<(u64, bool)>) {
+        // One sweep over the whole table gathers, per [`MSHR_CHUNK`]-slot
+        // chunk, a branchless completion mask and the minimum still-pending
+        // stamp. Completions are then sorted by `(ready, line)` (live lines
+        // are unique, so the order is total) and `earliest` comes out exact.
         let mut sweep = std::mem::take(&mut self.sweep);
         sweep.clear();
         let mut next_earliest = u64::MAX;
@@ -918,8 +777,8 @@ mod tests {
         m.insert(9, 100, false);
         m.remove(9);
         assert!(m.insert(9, 200, true), "slot is reusable after removal");
-        // The stale heap entry (ready 100) must not drain the re-posted
-        // fill early.
+        // The removed fill (ready 100) must not drain the re-posted one
+        // early.
         assert_eq!(m.drain_ready(150), Vec::<(u64, bool)>::new());
         assert_eq!(m.get(9).map(|i| i.ready), Some(200));
         assert_eq!(m.drain_ready(250), vec![(9, true)]);
@@ -961,36 +820,22 @@ mod tests {
     }
 
     mod differential {
-        //! Chunked vs scalar kernel differentials: the whole-set tag
-        //! compare / LRU victim scan and the batched MSHR ready-probe must
-        //! be observationally identical to the scalar reference under
-        //! arbitrary operation sequences.
+        //! Kernel differentials: the chunked whole-set tag compare / LRU
+        //! victim scan and the MSHR drain sweep must be observationally
+        //! identical to the per-way and heap-drain models in
+        //! [`crate::reference`] under arbitrary operation sequences.
 
         use super::*;
+        use crate::reference;
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use std::sync::Mutex;
-
-        /// Builds one scalar-mode and one chunked-mode instance. The
-        /// kernel mode is process-wide and latched at construction, so
-        /// both constructions happen under one lock and the mode is
-        /// restored to the default afterwards.
-        fn ab_pair<T>(build: impl Fn() -> T) -> (T, T) {
-            static MODE_LOCK: Mutex<()> = Mutex::new(());
-            let _guard = MODE_LOCK.lock().unwrap();
-            crate::hotpath::force_scalar(true);
-            let scalar = build();
-            crate::hotpath::force_scalar(false);
-            let chunked = build();
-            (scalar, chunked)
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Every cache observable — lookup results, evictions,
-            /// residency, stats — is identical across kernel modes, and a
+            /// residency, stats — matches the reference, and a
             /// known-absent fill matches a plain one, for
             /// arbitrary geometries (ways crossing the chunk width) and
             /// access mixes dense enough to force constant set conflict.
@@ -1006,52 +851,48 @@ mod tests {
                     ways,
                     latency: 4,
                 };
-                let (mut scalar, mut chunked) = ab_pair(|| Cache::new(params));
+                let mut want = reference::Cache::new(params);
+                let mut got = Cache::new(params);
                 let mut rng = StdRng::seed_from_u64(case);
                 let lines = u64::from(ways * 4) << sets_pow;
                 for _ in 0..ops {
                     let line = rng.gen_range(0..lines);
                     match rng.gen_range(0..5) {
-                        0 => prop_assert_eq!(
-                            scalar.demand_lookup(line),
-                            chunked.demand_lookup(line)
-                        ),
-                        // Known-absent fill: the chunked kernel skips the
+                        0 => prop_assert_eq!(want.demand_lookup(line), got.demand_lookup(line)),
+                        // Known-absent fill: the cache skips the
                         // present-check, the reference runs a plain fill.
-                        4 if !scalar.contains(line) => {
+                        4 if !want.contains(line) => {
                             let prefetched = rng.gen();
                             prop_assert_eq!(
-                                scalar.fill(line, prefetched),
-                                chunked.fill_absent(line, prefetched)
+                                want.fill(line, prefetched),
+                                got.fill_absent(line, prefetched)
                             );
                         }
                         1 => {
                             let prefetched = rng.gen();
-                            prop_assert_eq!(
-                                scalar.fill(line, prefetched),
-                                chunked.fill(line, prefetched)
-                            );
+                            prop_assert_eq!(want.fill(line, prefetched), got.fill(line, prefetched));
                         }
                         2 => prop_assert_eq!(
-                            scalar.fill_late_prefetch(line),
-                            chunked.fill_late_prefetch(line)
+                            want.fill_late_prefetch(line),
+                            got.fill_late_prefetch(line)
                         ),
-                        _ => prop_assert_eq!(scalar.contains(line), chunked.contains(line)),
+                        _ => prop_assert_eq!(want.contains(line), got.contains(line)),
                     }
                 }
-                prop_assert_eq!(scalar.stats(), chunked.stats());
+                prop_assert_eq!(want.stats(), got.stats());
             }
 
             /// Every MSHR observable — insert admission, lookups, drain
-            /// contents *and order*, size — is identical across kernel
-            /// modes under insert/remove/drain churn that drives growth
-            /// and tombstone reclamation.
+            /// contents *and order*, size — matches the reference under
+            /// insert/remove/drain churn that drives growth and tombstone
+            /// reclamation.
             #[test]
             fn chunked_mshr_matches_scalar_reference(
                 case in 0u64..u64::MAX,
                 ops in 1usize..600,
             ) {
-                let (mut scalar, mut chunked) = ab_pair(Mshr::new);
+                let mut want = reference::Mshr::default();
+                let mut got = Mshr::new();
                 let mut rng = StdRng::seed_from_u64(case);
                 let mut now = 0u64;
                 for _ in 0..ops {
@@ -1061,25 +902,25 @@ mod tests {
                             let ready = now + rng.gen_range(0..50u64);
                             let fill_l1 = rng.gen();
                             prop_assert_eq!(
-                                scalar.insert(line, ready, fill_l1),
-                                chunked.insert(line, ready, fill_l1)
+                                want.insert(line, ready, fill_l1),
+                                got.insert(line, ready, fill_l1)
                             );
                         }
                         2 => {
-                            scalar.remove(line);
-                            chunked.remove(line);
+                            want.remove(line);
+                            got.remove(line);
                         }
-                        3 => prop_assert_eq!(scalar.get(line), chunked.get(line)),
+                        3 => prop_assert_eq!(want.get(line), got.get(line)),
                         _ => {
                             now += rng.gen_range(0..25u64);
-                            prop_assert_eq!(scalar.drain_ready(now), chunked.drain_ready(now));
+                            prop_assert_eq!(want.drain_ready(now), got.drain_ready(now));
                         }
                     }
-                    prop_assert_eq!(scalar.len(), chunked.len());
+                    prop_assert_eq!(want.len(), got.len());
                 }
                 now += 1000;
-                prop_assert_eq!(scalar.drain_ready(now), chunked.drain_ready(now));
-                prop_assert!(scalar.is_empty() && chunked.is_empty());
+                prop_assert_eq!(want.drain_ready(now), got.drain_ready(now));
+                prop_assert!(want.is_empty() && got.is_empty());
             }
         }
     }

@@ -36,8 +36,9 @@ pub mod config;
 pub mod core;
 pub mod dram;
 pub mod hash;
-pub mod hotpath;
 pub mod prefetcher;
+#[cfg(test)]
+mod reference;
 pub mod system;
 
 pub use config::{CacheParams, CoreParams, SystemConfig};

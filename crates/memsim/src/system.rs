@@ -185,9 +185,6 @@ pub struct System {
     /// L2 demand accesses on the black-box epoch-summary clock (separate
     /// from `occ_accesses`, which only ticks while telemetry records).
     bb_accesses: u64,
-    /// Use sequential stepping in [`System::run_multi`]; latched from
-    /// [`crate::hotpath`] at construction.
-    scalar: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -244,7 +241,6 @@ impl System {
             probe: ProbeCounts::new(),
             occ_accesses: 0,
             bb_accesses: 0,
-            scalar: crate::hotpath::scalar_kernels(),
         }
     }
 
@@ -316,10 +312,10 @@ impl System {
     /// instructions, interleaving cores by simulated time. Returns per-core
     /// statistics.
     ///
-    /// In the default chunked kernel mode the cores are stepped in
-    /// **pipelined batches** ([`System::drive_pipelined`]); in scalar mode
-    /// this is plain per-record sequential stepping. Both orders are
-    /// byte-identical by construction — see the driver docs.
+    /// The cores are stepped in **pipelined batches**
+    /// ([`System::drive_pipelined`]), which reproduce the per-record
+    /// sequential order of [`System::run_multi_sequential`] record for
+    /// record — see the driver docs.
     ///
     /// # Panics
     ///
@@ -330,14 +326,12 @@ impl System {
         traces: &mut [&mut dyn Iterator<Item = TraceRecord>],
         instructions_per_core: u64,
     ) -> Vec<RunStats> {
-        let scalar = self.scalar;
-        self.run_multi_with(traces, instructions_per_core, !scalar)
+        self.run_multi_with(traces, instructions_per_core, true)
     }
 
-    /// [`System::run_multi`] forced onto the sequential per-record stepping
-    /// order, regardless of kernel mode — the reference the pipelined
-    /// driver's byte-identity tests and the fig. 14 scheduling bench
-    /// compare against.
+    /// [`System::run_multi`] on the sequential per-record stepping order:
+    /// the reference the pipelined driver's byte-identity tests compare
+    /// against.
     ///
     /// # Panics
     ///

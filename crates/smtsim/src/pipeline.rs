@@ -99,7 +99,6 @@ impl SmtStats {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     seq: u64,
-    dep_seq: u64,
     latency: u32,
     complete_at: u64,
     issued: bool,
@@ -159,13 +158,8 @@ struct ThreadState {
     fetch_queue: VecDeque<SmtInstr>,
     fetch_blocked_until: u64,
     rob: VecDeque<Slot>,
-    /// Index of the first ROB slot that may be unissued: every slot before
-    /// it is known issued, so the issue stage starts scanning here instead
-    /// of walking the issued prefix each cycle. Commits (front pops) shift
-    /// it down; issues of the leading slots push it up.
-    issue_hint: usize,
     complete_time: Box<[u64; DEP_RING]>,
-    /// Eligibility mask for the chunked issue scan, indexed by
+    /// Eligibility mask for the issue scan, indexed by
     /// `seq % DEP_RING`: a bit is set exactly while its slot is in the ROB
     /// and unissued (set at rename, cleared at issue; committed heads are
     /// always issued, so commit never touches it). The in-ROB seq range is
@@ -173,9 +167,9 @@ struct ThreadState {
     /// order starting at the head's position is ROB order and every set
     /// bit belongs to a live slot.
     unissued: [u64; RING_WORDS],
-    /// `dep_seq` by `seq % DEP_RING`, written at rename: the chunked scan
+    /// `dep_seq` by `seq % DEP_RING`, written at rename: the issue scan
     /// gathers dependency readiness from two flat arrays (this one and
-    /// `complete_time`) instead of walking 48-byte ROB slots.
+    /// `complete_time`) instead of walking ROB slots.
     dep_seqs: Box<[u64; DEP_RING]>,
     seq_next: u64,
     committed: u64,
@@ -196,7 +190,6 @@ impl ThreadState {
             fetch_queue: VecDeque::new(),
             fetch_blocked_until: 0,
             rob: VecDeque::new(),
-            issue_hint: 0,
             complete_time: Box::new([0; DEP_RING]),
             unissued: [0; RING_WORDS],
             dep_seqs: Box::new([0; DEP_RING]),
@@ -260,10 +253,16 @@ pub struct SmtPipeline {
     /// at epoch boundaries. Per-cycle span guards would cost more than the
     /// stages themselves.
     stage_ns: [u64; 4],
-    /// Use the scalar reference issue scan; latched from
-    /// [`mab_telemetry::hotpath`] at construction.
-    scalar: bool,
+    /// The per-thread issue scan; the differential test swaps in the
+    /// per-slot reference.
+    #[cfg(test)]
+    issue_thread: IssueThread,
 }
+
+/// Signature of a per-thread issue scan: `(thread, cycle, budget, window,
+/// penalty) -> budget left`.
+#[cfg(test)]
+type IssueThread = fn(&mut ThreadState, u64, u32, usize, u64) -> u32;
 
 /// Cycles between wall-clock-timed stage samples while profiling.
 const STAGE_SAMPLE_PERIOD: u64 = 256;
@@ -321,7 +320,8 @@ impl SmtPipeline {
             stage_cycles: 0,
             stage_timed: 0,
             stage_ns: [0; 4],
-            scalar: mab_telemetry::hotpath::scalar_kernels(),
+            #[cfg(test)]
+            issue_thread: Self::issue_thread,
         }
     }
 
@@ -517,9 +517,6 @@ impl SmtPipeline {
                     break;
                 }
                 let slot = t.rob.pop_front().expect("checked non-empty");
-                // The committed head was issued, so the issue hint's
-                // issued-prefix invariant survives the index shift.
-                t.issue_hint = t.issue_hint.saturating_sub(1);
                 budget -= 1;
                 t.committed += 1;
                 if slot.is_load {
@@ -548,24 +545,24 @@ impl SmtPipeline {
         let mut budget = self.params.issue_width;
         let window = self.params.scheduler_window;
         let penalty = self.params.mispredict_penalty as u64;
-        let scalar = self.scalar;
+        #[cfg(test)]
+        let issue_thread = self.issue_thread;
+        #[cfg(not(test))]
+        let issue_thread = Self::issue_thread;
         let first = (cycle % 2) as usize;
         for off in 0..2 {
             if budget == 0 {
                 break;
             }
             let t = &mut self.threads[(first + off) % 2];
-            budget = if scalar {
-                Self::issue_thread_scalar(t, cycle, budget, window, penalty)
-            } else {
-                Self::issue_thread_chunked(t, cycle, budget, window, penalty)
-            };
+            budget = issue_thread(t, cycle, budget, window, penalty);
         }
     }
 
-    /// Scalar reference issue scan for one thread: walk the ROB from the
-    /// issue hint, skipping issued slots. Kept as the differential baseline
-    /// for [`SmtPipeline::issue_thread_chunked`].
+    /// Reference issue scan for one thread: walk the whole ROB, skipping
+    /// issued slots. The baseline of the differential test
+    /// for [`SmtPipeline::issue_thread`].
+    #[cfg(test)]
     fn issue_thread_scalar(
         t: &mut ThreadState,
         cycle: u64,
@@ -573,15 +570,8 @@ impl SmtPipeline {
         window: usize,
         penalty: u64,
     ) -> u32 {
-        // Advance past the issued prefix once, then scan from there:
-        // the scheduler window counts only unissued slots, so skipping
-        // already-issued leading slots visits the same candidates the
-        // full walk would.
-        while t.rob.get(t.issue_hint).is_some_and(|slot| slot.issued) {
-            t.issue_hint += 1;
-        }
         let mut scanned = 0usize;
-        for slot in t.rob.range_mut(t.issue_hint..) {
+        for slot in t.rob.iter_mut() {
             if budget == 0 || scanned >= window {
                 break;
             }
@@ -589,7 +579,8 @@ impl SmtPipeline {
                 continue;
             }
             scanned += 1;
-            let dep_ready = t.complete_time[(slot.dep_seq % DEP_RING as u64) as usize] <= cycle;
+            let dep_seq = t.dep_seqs[(slot.seq % DEP_RING as u64) as usize];
+            let dep_ready = t.complete_time[(dep_seq % DEP_RING as u64) as usize] <= cycle;
             if !dep_ready {
                 continue;
             }
@@ -608,17 +599,17 @@ impl SmtPipeline {
         budget
     }
 
-    /// Chunked issue scan: candidates come straight off the seq-indexed
-    /// `unissued` bitset — one `trailing_zeros` per candidate over at most
-    /// [`RING_WORDS`] words — instead of walking 48-byte ROB slots, and
-    /// dependency readiness gathers from the flat `dep_seqs` /
-    /// `complete_time` rings. Visits exactly the scalar scan's candidates
-    /// in ROB order: set bits exist only for in-ROB unissued slots, ring
-    /// order from the head's position is seq order (the live range is
-    /// narrower than the ring), and issuing cannot flip a later
-    /// candidate's readiness within the cycle because every latency is
-    /// ≥ 1 (`PENDING` before issue, `cycle + latency > cycle` after).
-    fn issue_thread_chunked(
+    /// Issue scan for one thread: candidates come straight off the
+    /// seq-indexed `unissued` bitset — one `trailing_zeros` per candidate
+    /// over at most [`RING_WORDS`] words — instead of walking ROB slots,
+    /// and dependency readiness gathers from the flat `dep_seqs` /
+    /// `complete_time` rings. Visits exactly the candidates of a per-slot
+    /// ROB walk, in ROB order: set bits exist only for in-ROB unissued
+    /// slots, ring order from the head's position is seq order (the live
+    /// range is narrower than the ring), and issuing cannot flip a later
+    /// candidate's readiness within the cycle because every latency is ≥ 1
+    /// (`PENDING` before issue, `cycle + latency > cycle` after).
+    fn issue_thread(
         t: &mut ThreadState,
         cycle: u64,
         mut budget: u32,
@@ -637,7 +628,6 @@ impl SmtPipeline {
         // aligned with ROB order even if that ever changed.
         let mut word = t.unissued[word_idx] & !((1u64 << (head_pos % 64)) - 1);
         let mut scanned = 0usize;
-        let mut hint_updated = false;
         'scan: for words_left in (0..RING_WORDS).rev() {
             while word != 0 {
                 if budget == 0 || scanned >= window {
@@ -648,12 +638,6 @@ impl SmtPipeline {
                 let ring_pos = word_idx * 64 + lane;
                 // Ring position → ROB index (offset past the head).
                 let offset = (ring_pos + DEP_RING - head_pos) % DEP_RING;
-                if !hint_updated {
-                    // First unissued slot: exactly where the scalar
-                    // prefix-advance parks the hint.
-                    t.issue_hint = offset;
-                    hint_updated = true;
-                }
                 scanned += 1;
                 let dep_seq = t.dep_seqs[ring_pos];
                 if t.complete_time[(dep_seq % DEP_RING as u64) as usize] > cycle {
@@ -680,11 +664,6 @@ impl SmtPipeline {
             }
             word_idx = (word_idx + 1) % RING_WORDS;
             word = t.unissued[word_idx];
-        }
-        if !hint_updated {
-            // No unissued slot anywhere: the scalar prefix-advance would
-            // have walked off the end of the ROB.
-            t.issue_hint = t.rob.len();
         }
         budget
     }
@@ -759,7 +738,7 @@ impl SmtPipeline {
                 let ring_pos = (seq % DEP_RING as u64) as usize;
                 t.complete_time[ring_pos] = PENDING;
                 let dep_seq = seq.saturating_sub(instr.dep_distance as u64);
-                // Keep the chunked-issue gather arrays in lockstep: the
+                // Keep the issue scan's gather arrays in lockstep: the
                 // slot enters the ROB unissued.
                 t.unissued[ring_pos / 64] |= 1u64 << (ring_pos % 64);
                 t.dep_seqs[ring_pos] = dep_seq;
@@ -816,7 +795,6 @@ impl SmtPipeline {
                 }
                 t.rob.push_back(Slot {
                     seq,
-                    dep_seq,
                     latency,
                     complete_at: 0,
                     issued: false,
@@ -1041,14 +1019,13 @@ mod tests {
     }
 
     mod differential {
-        //! Chunked vs scalar eligible-mask scan differential: the chunked
-        //! issue scan must produce bit-identical pipeline behaviour — the
-        //! full stats struct, not just IPC — for arbitrary thread mixes,
-        //! seeds and controllers.
+        //! Issue-scan differential: the bitset issue scan must produce
+        //! bit-identical pipeline behaviour to the per-slot reference scan
+        //! — the full stats struct, not just IPC — for arbitrary thread
+        //! mixes, seeds and controllers.
 
         use super::*;
         use proptest::prelude::*;
-        use std::sync::Mutex;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
@@ -1062,18 +1039,9 @@ mod tests {
             ) {
                 let apps = smt::smt_apps();
                 let specs = [apps[a % apps.len()].clone(), apps[b % apps.len()].clone()];
-                // The kernel mode is process-wide and latched at pipeline
-                // construction; both constructions happen under one lock.
-                let (mut scalar, mut chunked) = {
-                    static MODE_LOCK: Mutex<()> = Mutex::new(());
-                    let _guard = MODE_LOCK.lock().unwrap();
-                    mab_telemetry::hotpath::force_scalar(true);
-                    let scalar =
-                        SmtPipeline::new(SmtParams::test_scale(), specs.clone(), seed);
-                    mab_telemetry::hotpath::force_scalar(false);
-                    let chunked = SmtPipeline::new(SmtParams::test_scale(), specs, seed);
-                    (scalar, chunked)
-                };
+                let mut reference = SmtPipeline::new(SmtParams::test_scale(), specs.clone(), seed);
+                reference.issue_thread = SmtPipeline::issue_thread_scalar;
+                let mut chunked = SmtPipeline::new(SmtParams::test_scale(), specs, seed);
                 let controller = || -> Box<dyn PgController> {
                     if choi {
                         Box::new(ChoiController::new())
@@ -1081,9 +1049,9 @@ mod tests {
                         Box::new(StaticPgController::new(PgPolicy::ICOUNT))
                     }
                 };
-                let s = scalar.run(controller(), 3_000);
-                let c = chunked.run(controller(), 3_000);
-                prop_assert_eq!(s, c);
+                let want = reference.run(controller(), 3_000);
+                let got = chunked.run(controller(), 3_000);
+                prop_assert_eq!(want, got);
             }
         }
     }

@@ -101,7 +101,12 @@ static CONTEXT: Mutex<Option<Context>> = Mutex::new(None);
 /// is armed and `false` is returned. Safe to call again (e.g. from tests or
 /// a daemon re-resolving a spec): the context is replaced, hooks stay
 /// installed.
-pub fn install(experiment: &str, digest: &str, config: &[(String, String)], crash_dir: &Path) -> bool {
+pub fn install(
+    experiment: &str,
+    digest: &str,
+    config: &[(String, String)],
+    crash_dir: &Path,
+) -> bool {
     if disabled_by_env() {
         set_enabled(false);
         return false;
@@ -444,17 +449,6 @@ pub fn cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Which kernel implementation the hot paths run: `"scalar"` when
-/// `MAB_SCALAR_KERNELS=1` forces the scalar reference kernels, `"simd"`
-/// otherwise (the SIMD-shaped defaults).
-pub fn kernel_mode() -> &'static str {
-    if crate::hotpath::scalar_kernels() {
-        "scalar"
-    } else {
-        "simd"
-    }
-}
-
 /// Best-effort hostname: `/proc/sys/kernel/hostname`, then `$HOSTNAME`,
 /// then `"unknown"`.
 pub fn hostname() -> String {
@@ -534,9 +528,8 @@ fn render_body(
         ));
     }
     body.push_str(&format!(
-        "{{\"kind\":\"host\",\"cpus\":{},\"kernel_mode\":\"{}\",\"hostname\":\"{}\"}}\n",
+        "{{\"kind\":\"host\",\"cpus\":{},\"hostname\":\"{}\"}}\n",
         cpus(),
-        kernel_mode(),
         escape(&hostname())
     ));
     if let Some(sweep) = crate::live::sweep_snapshot() {
@@ -704,7 +697,6 @@ pub struct CrashReport {
     pub digest: String,
     pub config: Vec<(String, String)>,
     pub cpus: u64,
-    pub kernel_mode: String,
     pub hostname: String,
     /// `(done, total, active)` sweep progress at crash time, if a sweep ran.
     pub sweep: Option<(u64, u64, bool)>,
@@ -784,7 +776,6 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
             "config" => report.config.push((string("key"), string("value"))),
             "host" => {
                 report.cpus = int(&v, "cpus");
-                report.kernel_mode = string("kernel_mode");
                 report.hostname = string("hostname");
             }
             "sweep" => {
@@ -856,7 +847,14 @@ mod tests {
         ];
         assert!(install("fig08_singlecore", "ab12cd34", &config, &dir));
         for step in 0..12 {
-            decision(7, step, (step % 3) as usize, 0.5 + step as f64 * 0.01, 0.9, step % 2 == 0);
+            decision(
+                7,
+                step,
+                (step % 3) as usize,
+                0.5 + step as f64 * 0.01,
+                0.9,
+                step % 2 == 0,
+            );
         }
         epoch("mem", 3, 120_000, 1.25);
         arm_start(4, 123_456);

@@ -45,7 +45,6 @@ pub mod crc32;
 pub mod event;
 pub mod export;
 pub mod hist;
-pub mod hotpath;
 pub mod json;
 pub mod live;
 pub mod perfetto;

@@ -5,8 +5,10 @@
 //! host-dependent fields (`time_unix`, `cpus`, `hostname`) pinned and the
 //! body re-framed. It covers every line kind — a signal crash header,
 //! escaped config values, host, sweep, arm, span frames, two thread rings —
-//! and every event type. `read_report` must keep reading such reports to
-//! the same fields, and must keep rejecting a damaged one.
+//! and every event type. Its host line still carries the retired
+//! `kernel_mode` key, which the reader now ignores. `read_report` must keep
+//! reading such reports to the same fields, and must keep rejecting a
+//! damaged one.
 
 use mab_telemetry::blackbox::{read_report, CrashEvent};
 use std::path::{Path, PathBuf};
@@ -39,7 +41,6 @@ fn golden_report_parses_to_the_recorded_fields() {
         ]
     );
     assert_eq!(report.cpus, 2);
-    assert_eq!(report.kernel_mode, "simd");
     assert_eq!(report.hostname, "fixture-host");
     assert_eq!(report.sweep, Some((3, 8, true)));
     assert_eq!(report.arm, Some((5, 0xDEAD_BEEF)));

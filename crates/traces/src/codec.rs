@@ -42,7 +42,7 @@ pub trait Codec {
     /// payload, in which case `state` and `pos` advance past it. On `None`
     /// nothing is committed — `state` and `pos` are untouched — so a
     /// per-record [`Codec::decode`] call replays from the same point and
-    /// surfaces the scalar error behaviour (partial state mutation,
+    /// surfaces its error behaviour (partial state mutation,
     /// trailing-byte detection) byte for byte.
     fn decode_padded(
         state: &mut Self::State,
@@ -152,14 +152,14 @@ impl Codec for MemCodec {
     /// both fixed-width varint loads in bounds from any cursor inside the
     /// payload, so the hot loop carries no remaining-bytes branch. A
     /// cursor that only advanced by consuming padding (truncated trailing
-    /// varint) is rejected *before* committing, which is how the scalar
-    /// path behaves when its window check sends the block tail to the
-    /// byte-wise decoder.
+    /// varint) is rejected *before* committing, which is how
+    /// [`Codec::decode`] behaves when its window check sends the block
+    /// tail to the byte-wise decoder.
     ///
     /// Failure cases match [`decode_fast`]'s bail-outs — corrupt tag,
     /// varint longer than 8 bytes, cursor past the real payload — and
     /// commit nothing, so the per-record path replays the record and
-    /// reports the exact scalar error.
+    /// reports the exact per-record error.
     #[inline]
     fn decode_padded(
         state: &mut MemState,
@@ -410,17 +410,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The padded chunk-cursor decode never disagrees with the scalar
-        /// decode: whenever it accepts a record, the scalar path decodes
+        /// The padded chunk-cursor decode never disagrees with the
+        /// per-record decode: whenever it accepts a record, `decode` reads
         /// the same record with the same cursor advance and delta state —
         /// including on corrupted buffers, where the padded path may
-        /// reject (fall back) but must never accept something the scalar
-        /// path would decode differently.
+        /// reject (fall back) but must never accept something `decode`
+        /// would decode differently. Truncated buffers end in a cut
+        /// record, whose varint the padded cursor must not finish from the
+        /// zero padding.
         #[test]
         fn padded_decode_agrees_with_scalar_decode(
             case in 0u64..u64::MAX,
             n in 0usize..50,
             corrupt in prop::bool::ANY,
+            truncate in prop::bool::ANY,
         ) {
             let mut rng = StdRng::seed_from_u64(case);
             let mut enc = MemState::default();
@@ -431,6 +434,9 @@ mod tests {
             if corrupt && !buf.is_empty() {
                 let at = rng.gen_range(0..buf.len());
                 buf[at] ^= 1u8 << rng.gen_range(0..8);
+            }
+            if truncate {
+                buf.truncate(rng.gen_range(0..=buf.len()));
             }
             let real_len = buf.len();
             let mut padded = buf.clone();
@@ -449,7 +455,7 @@ mod tests {
                 prop_assert_eq!(st_scalar.prev_pc, st_padded.prev_pc);
                 prop_assert_eq!(st_scalar.prev_addr, st_padded.prev_addr);
             }
-            // A rejected record commits nothing, so the scalar decode
+            // A rejected record commits nothing, so the per-record decode
             // replays from the exact same point.
             prop_assert_eq!(p_scalar, p_padded);
         }

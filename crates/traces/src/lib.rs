@@ -52,6 +52,8 @@
 
 pub mod champsim;
 pub mod codec;
+#[cfg(test)]
+mod differential;
 pub mod error;
 pub mod format;
 pub mod reader;

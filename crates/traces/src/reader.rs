@@ -2,17 +2,15 @@
 //!
 //! [`Reader::open`] validates the header eagerly (magic, version, payload
 //! kind, finalization) and loads the index footer when present. Payloads
-//! are read and CRC-verified a block at a time. In the default chunked
-//! kernel mode ([`mab_telemetry::hotpath`]) records decode through a
+//! are read and CRC-verified a block at a time. Records decode through a
 //! chunk cursor running over a zero-padded copy of the payload
 //! ([`Codec::decode_padded`]), whose fixed-width unaligned loads never
-//! need a remaining-bytes branch; in scalar mode — and from the first
-//! record the padded cursor rejects, i.e. the block is corrupt or ends in
-//! a truncated varint — records decode on demand straight out of the
-//! verified block, which is also the differential reference the chunked
-//! path is tested against. Either way replay stays cheaper than
-//! regenerating the records from the seeded RNG generators (see
-//! `BENCH_trace_io.json`).
+//! need a remaining-bytes branch. From the first record the padded cursor
+//! rejects (the block is corrupt or ends in a truncated varint), and for
+//! codecs without a padded path, records decode one at a time straight out
+//! of the verified block with [`Codec::decode`], which is the path that
+//! reports the error. Replay stays cheaper than regenerating the records
+//! from the seeded RNG generators (see `BENCH_trace_io.json`).
 //!
 //! Two record access styles:
 //!
@@ -48,11 +46,8 @@ pub struct Reader<C: Codec> {
     pos: usize,
     /// Records of the current block not yet decoded.
     block_remaining: u32,
-    /// Padded copy of `raw` for [`Codec::decode_padded`] (chunked mode).
+    /// Padded copy of `raw` for [`Codec::decode_padded`].
     scratch: Vec<u8>,
-    /// Use the per-record scalar decode path unconditionally; latched from
-    /// [`mab_telemetry::hotpath`] at open.
-    scalar: bool,
     /// Decode the current block through the padded chunk cursor; disarmed
     /// by the first rejected record so a corrupt block replays per-record
     /// from the same cursor position.
@@ -91,7 +86,6 @@ impl<C: Codec> Reader<C> {
             pos: 0,
             block_remaining: 0,
             scratch: Vec::new(),
-            scalar: mab_telemetry::hotpath::scalar_kernels(),
             eager: false,
             records_read: 0,
             blocks_read: 0,
@@ -175,12 +169,11 @@ impl<C: Codec> Reader<C> {
         loop {
             if self.block_remaining > 0 {
                 let record = if self.eager {
-                    // Chunked path: decode straight off the padded scratch
-                    // copy, no per-record window check. A rejected record
-                    // (corrupt or truncated data) committed nothing, so
-                    // the per-record path replays it from the same cursor
-                    // and surfaces the error exactly as the scalar path
-                    // would.
+                    // Decode straight off the padded scratch copy, no
+                    // per-record window check. A rejected record (corrupt
+                    // or truncated data) committed nothing, so the
+                    // per-record path replays it from the same cursor and
+                    // surfaces its error.
                     match C::decode_padded(
                         &mut self.state,
                         &self.scratch,
@@ -259,8 +252,8 @@ impl<C: Codec> Reader<C> {
         self.block_remaining = n_records;
         self.blocks_read += 1;
         // Codecs without a padded fast path (BLOCK_PAD == 0) decode
-        // per-record in every mode; the scratch copy would buy nothing.
-        self.eager = !self.scalar && C::BLOCK_PAD > 0;
+        // per-record; the scratch copy would buy nothing.
+        self.eager = C::BLOCK_PAD > 0;
         if self.eager {
             // One padded copy per block arms the chunk cursor with a fixed
             // decode window past every record.
